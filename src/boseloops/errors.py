@@ -37,5 +37,5 @@ class OriginError(DomainError):
 
 
 class TruncationWarning(UserWarning):
-    """Emitted when a reported tail bound exceeds the requested absolute
-    tolerance; carries the bound as its argument."""
+    """Emitted when a reported tail bound or quadrature error estimate
+    exceeds the requested tolerance; carries the bound as its argument."""

@@ -6,22 +6,24 @@ The central object is the loop series nu = |kappa|^d sum_l z^l Tr G(l beta).
 Near condensation the gap Delta = E0 - mu becomes tiny and naive truncation
 would need ~1/(beta*Delta) terms; beyond the loop length where the trace has
 collapsed onto its ground-state asymptote e^{-E0 l beta} the remainder is an
-exact geometric series and is summed in closed form.  For the anisotropic
-models one axis relaxes astronomically more slowly than the others; its
-factor (1-e^{-a l})^{-1} is expanded into the exact sum over that axis'
-quantum number, which turns the remainder into a rapidly convergent double
-geometric sum.
+exact geometric series and is summed in closed form.  The gap-independent
+product P_l = prod_j (1-e^{-a_j l})^{-1} over the direct stretch l <= L is
+built once per gap solve and reused for every trial gap.  For the anisotropic
+models one or two axes relax astronomically more slowly than the others; their
+factors are still far from 1 at l = L, and the remainder beyond L is taken as
+an endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BracketError, ConvergenceError, DomainError, ModelError,
-                     RegimeError)
+                     RegimeError, TruncationWarning)
 from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
                       eigenvalue, ground_energy)
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
@@ -100,10 +102,12 @@ def _split_axes(a: np.ndarray, ln_fac: float, cap: int):
     return int(math.ceil(min(cap, max(l_fast, 1e4)))), slow
 
 
-def _em_tail(w0: float, a: np.ndarray, big_l: int, log_scale: float) -> float:
+def _em_tail(w0: float, a: np.ndarray, big_l: int,
+             log_scale: float) -> tuple[float, float]:
     """sum_{l>L} e^{log_scale - l w0} prod_j (1-e^{-a_j l})^{-1} by endpoint
     Euler-Maclaurin: exact integral (adaptive quadrature in log loop-length)
-    plus half-term and B2 correction.
+    plus half-term and B2 correction.  Returns (tail, quadrature error
+    estimate).
 
     Robust for arbitrarily small axis rates a_j: everything is evaluated in
     summed-log form and the quadrature is guided by the axis relaxation
@@ -122,17 +126,56 @@ def _em_tail(w0: float, a: np.ndarray, big_l: int, log_scale: float) -> float:
     l1 = big_l + 1.0
     l_max = min(1e306, (2000.0 + abs(log_scale)) / w0)
     if l_max <= l1:
-        return g(l1)  # tail already extinguished by the gap factor
+        return g(l1), 0.0  # tail already extinguished by the gap factor
     v1, v2 = math.log(l1), math.log(l_max)
     knots = sorted({min(max(math.log(1.0 / r), v1), v2)
                     for r in list(a) + [w0] if r > 0.0})
-    val, _err = integrate.quad(lambda v: g(math.exp(v)) * math.exp(v),
-                               v1, v2, points=knots, limit=500,
-                               epsabs=1e-300, epsrel=1e-11)
+    val, err = integrate.quad(lambda v: g(math.exp(v)) * math.exp(v),
+                              v1, v2, points=knots, limit=500,
+                              epsabs=1e-300, epsrel=1e-11)
     g1 = g(l1)
     with np.errstate(over="ignore"):
         slope = w0 + float(np.sum(a / np.expm1(np.minimum(a * l1, 745.0))))
-    return val + 0.5 * g1 + slope * g1 / 12.0
+    return val + 0.5 * g1 + slope * g1 / 12.0, err
+
+
+class _LoopProduct:
+    """Gap-independent part of the loop sum for one (beta, trap, ctl): the
+    direct length L, the slow axes and log P_l for l <= L, in chunks of 10^6.
+
+    `sum(w0, log_scale)` adds the gap-dependent factor e^{-l w0} and the tail
+    beyond L, so a gap solve builds P_l once for all its trial gaps.
+    """
+
+    def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
+        self.a = _axis_rates(beta, trap)
+        self.rel_tol = ctl.rel_tol
+        ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
+        cap = min(ctl.max_terms, 2 * 10**6)
+        self.big_l, self.slow = _split_axes(self.a, ln_fac, cap)
+        self.chunks = []
+        for start in range(1, self.big_l + 1, 10**6):
+            l = np.arange(start, min(start + 10**6 - 1, self.big_l) + 1,
+                          dtype=float)
+            # one axis at a time: no (axes x L) temporaries
+            log_p = np.zeros_like(l)
+            for a_j in self.a:
+                log_p -= log1mexp(np.minimum(a_j * l, 745.0))
+            self.chunks.append((l, log_p))
+
+    def sum(self, w0: float, log_scale: float) -> float:
+        """e^{log_scale} sum_{l>=1} e^{-l w0} P_l."""
+        total = 0.0
+        for l, log_p in self.chunks:
+            total += float(np.sum(np.exp(log_scale - l * w0 + log_p)))
+        if not np.any(self.slow):
+            return total + math.exp(log_scale - (self.big_l + 1) * w0) \
+                / (-math.expm1(-w0))
+        tail, err = _em_tail(w0, self.a, self.big_l, log_scale)
+        total += tail
+        if err > self.rel_tol * total:
+            warnings.warn(TruncationWarning(err))
+        return total
 
 
 def _loop_number_sum(beta: float, gap: float, trap: TrapModel,
@@ -143,24 +186,7 @@ def _loop_number_sum(beta: float, gap: float, trap: TrapModel,
     particle number stays representable even when the slowest axis rate (and
     with it |kappa|^d) underflows any fixed floating-point window.
     """
-    a = _axis_rates(beta, trap)
-    d = trap.dim
-    ln_fac = math.log(2.0 * d / ctl.rel_tol)
-    cap = min(ctl.max_terms, 2 * 10**6)
-    big_l, slow = _split_axes(a, ln_fac, cap)
-    w0 = beta * gap
-
-    total = 0.0
-    for start in range(1, big_l + 1, 10**6):
-        l = np.arange(start, min(start + 10**6 - 1, big_l) + 1, dtype=float)
-        log_p = -np.sum(log1mexp(np.minimum(np.outer(a, l), 745.0)), axis=0)
-        total += float(np.sum(np.exp(log_scale - l * w0 + log_p)))
-
-    if not np.any(slow):
-        total += math.exp(log_scale - (big_l + 1) * w0) / (-math.expm1(-w0))
-    else:
-        total += _em_tail(w0, a, big_l, log_scale)
-    return total
+    return _LoopProduct(beta, trap, ctl).sum(beta * gap, log_scale)
 
 
 def nu_rescaled(pt: GrandCanonicalPoint, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -275,9 +301,10 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
     beta, nu = target.beta, target.nu
     e0 = ground_energy(trap)
     log_scale = trap.dim * math.log(trap.kappa_abs)
+    loops = _LoopProduct(beta, trap, ctl)
 
     def f(log_delta: float) -> float:
-        return _loop_number_sum(beta, math.exp(log_delta), trap, ctl, log_scale) - nu
+        return loops.sum(beta * math.exp(log_delta), log_scale) - nu
 
     lo = math.log(1e-300 * e0)
     hi = math.log(e0 + 50.0 / beta)

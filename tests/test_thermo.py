@@ -2,12 +2,14 @@
 asymptotic laws and band sums."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from boseloops import thermo
 from boseloops.errors import (BracketError, DomainError, ModelError,
-                              RegimeError)
+                              RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
 from boseloops.specfun import DEFAULT_CONTROL, SeriesControl
 from boseloops.thermo import (CanonicalTarget, GrandCanonicalPoint,
@@ -91,6 +93,63 @@ class TestLoopNumber:
         val = _loop_number_sum(1.0, gap, trap, DEFAULT_CONTROL,
                                3.0 * math.log(trap.kappa_abs))
         assert val == pytest.approx(target.nu, rel=1e-8)
+
+
+class TestLoopProduct:
+    @staticmethod
+    def _log1mexp_sizes(monkeypatch):
+        sizes = []
+        real = thermo.log1mexp
+
+        def counted(v):
+            sizes.append(np.size(v))
+            return real(v)
+        monkeypatch.setattr(thermo, "log1mexp", counted)
+        return sizes
+
+    @pytest.mark.parametrize("trap", [Quasi2D(0.05, 1.0), Quasi1D(0.3, 1.0),
+                                      Isotropic(3, 0.01)])
+    def test_axis_accumulation_matches_outer_product(self, trap):
+        # reference: all axes at once on the (axes x L) grid, summed over axes
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        for l, log_p in prod.chunks:
+            ref = -np.sum(log1mexp(np.minimum(np.outer(prod.a, l), 745.0)),
+                          axis=0)
+            assert np.array_equal(log_p, ref)
+
+    def test_product_built_once_per_solve(self, monkeypatch):
+        # P_l is gap-independent: one solve builds it once, one axis at a time
+        trap = Quasi2D(0.05, 1.0)
+        assert not thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
+        sizes = self._log1mexp_sizes(monkeypatch)
+        solve_gap(CanonicalTarget(1.0, 2.0), trap)
+        assert sum(sizes) == 3 * 43_453
+
+    def test_product_built_once_with_slow_axis(self, monkeypatch):
+        # only the quadrature tail (3-element calls) runs per trial gap
+        trap = Quasi1D(0.3, 1.0)
+        assert thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
+        sizes = self._log1mexp_sizes(monkeypatch)
+        solve_gap(CanonicalTarget(1.0, 4.0), trap)
+        assert sum(n for n in sizes if n > 3) == 3 * 10_000
+
+    def test_tail_quadrature_error_is_reported(self, monkeypatch):
+        import scipy.integrate
+
+        trap = Quasi1D(0.3, 1.0)
+        pt = GrandCanonicalPoint(1.0, ground_energy(trap) - 1e-6, trap)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            nu = nu_rescaled(pt)
+        real = scipy.integrate.quad
+
+        def sloppy(*args, **kwargs):
+            val, _err = real(*args, **kwargs)
+            return val, 1e-3 * nu
+        monkeypatch.setattr(scipy.integrate, "quad", sloppy)
+        with pytest.warns(TruncationWarning) as record:
+            assert nu_rescaled(pt) == nu
+        assert record[0].message.args == (1e-3 * nu,)
 
 
 class TestCriticalNumbers:
