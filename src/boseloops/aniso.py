@@ -1,7 +1,8 @@
 """Quasi-1D and quasi-2D specializations: regime classification, mesoscopic
 loop-window sums and their closed-form predictors.
 
-Both anisotropic models share the loop-window engine of `rdm`; what differs
+Both anisotropic models share the loop-window engine of `rdm`, and every
+window is summed at the gap of one solved `thermo.Equilibrium`; what differs
 is where the windows are cut and which closed form the window is compared
 against.  Quasi-1D has a second critical number nu_m and a mesoscopic sum
 that diverges (as kappa -> 0) like a known exponential; quasi-2D has no
@@ -14,14 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ModelError, RegimeError
-from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy
-from .rdm import _noncond_range_sum
+from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel
+from .rdm import _noncond_range_sum, _window_cutoffs
 from .specfun import DEFAULT_CONTROL, SeriesControl, de_broglie, polylog
-from .thermo import (CRITICAL_BAND, CanonicalTarget, _nu_critical_trap, nu_m,
-                     solve_gap)
+from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
+                     _nu_critical_trap, nu_m)
 
 
 @dataclass(frozen=True)
@@ -62,23 +61,16 @@ def classify(target: CanonicalTarget, trap: TrapModel,
     return AnisotropicRegime(tag, eta, boundary)
 
 
-def _meso_window_sum(x, y, target: CanonicalTarget, trap: TrapModel,
-                     l_lo: int, l_hi, ctl: SeriesControl) -> float:
-    gap = solve_gap(target, trap, ctl)
-    return _noncond_range_sum(x, y, target.beta, gap, trap, l_lo, l_hi, ctl)
-
-
-def meso_q1d(x, y, target: CanonicalTarget, trap: Quasi1D,
-             ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def meso_q1d(x, y, eq: Equilibrium) -> float:
     """log of the mesoscopic (dyad-subtracted) loop-window sum for Quasi1D,
-    window (N, M] with N = floor(kappa^-sigma), M = floor(e^{kappa_c^2/kappa^2})
+    window (N, M] with N = floor(kappa^-sigma) and the macroscopic cutoff
+    M = floor(kappa^-sigma2 e^{kappa_c^2/kappa^2}) of `rdm.loop_decompose`
     (treated as infinite once it exceeds 2^62)."""
-    if not isinstance(trap, Quasi1D):
+    if not isinstance(eq.trap, Quasi1D):
         raise ModelError("meso_q1d requires a Quasi1D trap")
-    n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
-    log_m = trap.kappa_c**2 / trap.kappa**2
-    l_hi = None if log_m >= 62.0 * math.log(2.0) else int(math.floor(math.exp(log_m)))
-    val = _meso_window_sum(x, y, target, trap, n_short + 1, l_hi, ctl)
+    n_short, m = _window_cutoffs(eq.trap, eq.ctl, 1.0)
+    val = _noncond_range_sum(x, y, eq, n_short + 1,
+                             None if math.isinf(m) else int(m))
     if not val > 0.0:
         raise DomainError("mesoscopic window sum is not positive; no log")
     return math.log(val)
@@ -153,23 +145,17 @@ def q2d_additional_limit(beta: float, trap: Quasi2D) -> float:
                            / (math.pi * trap.consts.hbar)) / lam**2
 
 
-def additional_q2d(x, y, target: CanonicalTarget, trap: Quasi2D,
-                   ctl: SeriesControl = DEFAULT_CONTROL,
-                   chi: float = 2.0) -> float:
+def additional_q2d(x, y, eq: Equilibrium, chi: float = 2.0) -> float:
     """Quasi-2D mesoscopic (dyad-subtracted) loop-window sum, window
     (N, M~] with N = floor(kappa^-sigma) and
     M~ = floor(kappa^-sigma2 e^{chi sqrt(kappa_c/kappa)})."""
-    if not isinstance(trap, Quasi2D):
+    if not isinstance(eq.trap, Quasi2D):
         raise ModelError("additional_q2d requires a Quasi2D trap")
     if chi <= 0:
         raise DomainError("chi must be positive")
-    n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
-    sigma2 = 0.0 if ctl.sigma2 is None else ctl.sigma2
-    log_m = chi * math.sqrt(trap.kappa_c / trap.kappa) \
-        - sigma2 * math.log(trap.kappa)
-    l_hi = None if log_m >= 62.0 * math.log(2.0) else \
-        max(int(math.floor(math.exp(log_m))), n_short)
-    return _meso_window_sum(x, y, target, trap, n_short + 1, l_hi, ctl)
+    n_short, m = _window_cutoffs(eq.trap, eq.ctl, chi)
+    return _noncond_range_sum(x, y, eq, n_short + 1,
+                              None if math.isinf(m) else int(m))
 
 
 @dataclass(frozen=True)
@@ -189,34 +175,22 @@ class ChiSplit:
     predicted_half: float
 
 
-def q2d_chi_split(x, y, target: CanonicalTarget, trap: Quasi2D,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> ChiSplit:
+def q2d_chi_split(x, y, eq: Equilibrium) -> ChiSplit:
     """Split the chi=2 window at chi=1 and report both partial sums.
 
     The documented window puts its mass in the first (chi <= 1) part; equal
     halves would need kappa_perp = kappa e^{-2 sqrt(kappa_c/kappa)} (see
     `q2d_additional_limit`).
     """
+    trap = eq.trap
     if not isinstance(trap, Quasi2D):
         raise ModelError("q2d_chi_split requires a Quasi2D trap")
-    n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
-    sigma2 = 0.0 if ctl.sigma2 is None else ctl.sigma2
+    n_short, m = _window_cutoffs(trap, eq.ctl, 2.0)
+    sigma2 = 0.0 if eq.ctl.sigma2 is None else eq.ctl.sigma2
     kappa_perp = trap.kappas[1]
     mid = max(int(math.floor(trap.kappa ** (-sigma2) / kappa_perp)), n_short)
-    log_m = 2.0 * math.sqrt(trap.kappa_c / trap.kappa) \
-        - sigma2 * math.log(trap.kappa)
-    l_hi = None if log_m >= 62.0 * math.log(2.0) else \
-        max(int(math.floor(math.exp(log_m))), mid)
-    first = _meso_window_sum(x, y, target, trap, n_short + 1, mid, ctl)
-    second = _meso_window_sum(x, y, target, trap, mid + 1, l_hi, ctl)
-    return ChiSplit(first, second, 0.5 * q2d_additional_limit(target.beta, trap))
-
-
-def noncondensate_aniso(x, y, target: CanonicalTarget, trap: TrapModel,
-                        ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Ground-state-subtracted reduced density matrix for anisotropic traps."""
-    if isinstance(trap, Isotropic):
-        raise ModelError("use noncondensate for isotropic traps")
-    from .rdm import noncondensate
-
-    return noncondensate(x, y, target, trap, ctl)
+    l_hi = None if math.isinf(m) else max(int(m), mid)
+    first = _noncond_range_sum(x, y, eq, n_short + 1, mid)
+    second = _noncond_range_sum(x, y, eq, mid + 1, l_hi)
+    return ChiSplit(first, second,
+                    0.5 * q2d_additional_limit(eq.target.beta, trap))

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,12 +28,12 @@ from .aniso import (additional_q2d, classify, meso_q1d, meso_q1d_prediction,
 from .errors import (BoseloopsError, BracketError, ConvergenceError,
                      DomainError)
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy
-from .rdm import (loop_decompose, local_density_scaled, noncondensate,
-                  rdm_loops, rdm_rescaled, scaled_density_limit)
-from .specfun import PhysicalConstants, SeriesControl, de_broglie, polylog
-from .thermo import (CanonicalTarget, GrandCanonicalPoint, _nu_critical_trap,
-                     bose, gap_asymptotic, gbec_band_sum, nu_m, nu_rescaled,
-                     solve_gap)
+from .rdm import (condensate_density, loop_decompose, local_density_scaled,
+                  noncondensate, rdm_loops, rdm_rescaled, scaled_density_limit)
+from .specfun import PhysicalConstants, SeriesControl
+from .thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
+                     _nu_critical_trap, gap_asymptotic, gbec_band_sum, nu_m,
+                     nu_rescaled, occupation)
 
 log = logging.getLogger("boseloops")
 
@@ -192,23 +192,18 @@ def cmd_thermo(cfg: RunConfig, threads: int = 1) -> ResultTable:
 
     def one(kappa: float) -> list:
         trap = build_trap(cfg, kappa)
-        e0 = ground_energy(trap)
         if cfg.nu is not None:
-            target = CanonicalTarget(cfg.beta, cfg.nu)
-            gap = solve_gap(target, trap, cfg.ctl)
-            mu = e0 - gap
-            nu = cfg.nu
-            band = gbec_band_sum(target, trap, epsilon, cfg.ctl)
+            eq = Equilibrium.solve(CanonicalTarget(cfg.beta, cfg.nu), trap,
+                                   cfg.ctl)
+            mu = ground_energy(trap) - eq.gap
         else:
             mu = cfg.mu
             pt = GrandCanonicalPoint(cfg.beta, mu, trap)
-            gap = e0 - mu
-            nu = nu_rescaled(pt, cfg.ctl)
-            band = gbec_band_sum(CanonicalTarget(cfg.beta, nu), trap,
-                                 epsilon, cfg.ctl)
-        occ0 = trap.kappa_abs ** trap.dim * float(bose(cfg.beta * gap))
+            eq = Equilibrium(CanonicalTarget(cfg.beta, nu_rescaled(pt, cfg.ctl)),
+                             trap, cfg.ctl, pt.gap)
         nu_c = _nu_critical_trap(cfg.beta, trap, cfg.ctl)
-        row = [kappa, mu, gap, nu, occ0, band,
+        row = [kappa, mu, eq.gap, eq.target.nu, occupation(eq, (0,) * trap.dim),
+               gbec_band_sum(eq, epsilon),
                "divergent:d1-no-critical-number" if math.isinf(nu_c) else nu_c]
         if cfg.model == "quasi1d":
             row.append(nu_m(cfg.beta, trap, cfg.ctl))
@@ -227,7 +222,7 @@ def cmd_mu_solve(cfg: RunConfig, threads: int = 1) -> ResultTable:
 
     def one(kappa: float) -> list:
         trap = build_trap(cfg, kappa)
-        gap = solve_gap(target, trap, cfg.ctl)
+        gap = Equilibrium.solve(target, trap, cfg.ctl).gap
         pred_gap = gap_asymptotic(target, trap, cfg.ctl)
         rel = abs(gap - pred_gap) / abs(pred_gap)
         return [kappa, ground_energy(trap) - gap, gap, pred_gap, rel]
@@ -246,10 +241,9 @@ def cmd_rdm(cfg: RunConfig, threads: int = 1) -> ResultTable:
         trap = build_trap(cfg, kappa)
         x = _point(cfg, "x", trap.dim)
         y = _point(cfg, "y", trap.dim)
-        return [kappa,
-                rdm_loops(x, y, target, trap, cfg.ctl),
-                rdm_rescaled(x, y, target, trap, cfg.ctl),
-                noncondensate(x, y, target, trap, cfg.ctl)]
+        eq = Equilibrium.solve(target, trap, cfg.ctl)
+        return [kappa, rdm_loops(x, y, eq), rdm_rescaled(x, y, eq),
+                noncondensate(x, y, eq)]
 
     rows = _map_ordered(one, list(cfg.kappas), threads)
     return ResultTable(["kappa", "rdm", "rdm_rescaled", "noncondensate"],
@@ -270,11 +264,12 @@ def cmd_profile(cfg: RunConfig, threads: int = 1) -> ResultTable:
     rescaled = bool(cfg.extra.get("rescaled", False))
     target = CanonicalTarget(cfg.beta, cfg.nu)
     trap = build_trap(cfg, cfg.kappas[0])
+    eq = Equilibrium.solve(target, trap, cfg.ctl)
 
     def one(r) -> list:
         x = np.zeros(trap.dim)
         x[0] = float(r)
-        val = local_density_scaled(x, delta, target, trap, cfg.ctl, rescaled)
+        val = local_density_scaled(x, delta, eq, rescaled)
         pred = scaled_density_limit(x, delta, target, trap.dim, cfg.consts,
                                     cfg.ctl, rescaled)
         if pred is None:
@@ -300,16 +295,11 @@ def cmd_loops(cfg: RunConfig, threads: int = 1) -> ResultTable:
         trap = build_trap(cfg, kappa)
         x = _point(cfg, "x", trap.dim)
         y = _point(cfg, "y", trap.dim)
-        dec = loop_decompose(x, y, target, trap, cfg.ctl)
+        dec = loop_decompose(x, y, Equilibrium.solve(target, trap, cfg.ctl))
         scale = trap.kappa_abs ** (trap.dim / 2.0)
-        nu_c = _nu_critical_trap(cfg.beta, trap, cfg.ctl)
-        if math.isfinite(nu_c) and cfg.nu > nu_c:
-            lam = de_broglie(cfg.beta, cfg.consts)
-            pred = 2.0 ** (trap.dim / 2.0) \
-                * (cfg.consts.hbar * trap.omega0 * cfg.beta) ** (trap.dim / 2.0) \
-                * (cfg.nu - nu_c) / lam ** trap.dim
-        else:
-            pred = 0.0
+        pred = condensate_density(cfg.beta, cfg.nu, trap.dim,
+                                  replace(cfg.consts, omega0=trap.omega0),
+                                  cfg.ctl)
         macro_cut = dec.macro_cutoff
         return [kappa, dec.short_cutoff,
                 macro_cut if math.isfinite(macro_cut) else "divergent:beyond-2^62",
@@ -338,13 +328,14 @@ def cmd_aniso_check(cfg: RunConfig, threads: int = 1) -> ResultTable:
         if cfg.model == "quasi1d":
             if regime.tag == "subcritical":
                 return [kappa, regime.tag, regime.eta, "n/a", "n/a", "n/a"]
-            logv = meso_q1d(x, y, target, trap, cfg.ctl)
+            logv = meso_q1d(x, y, Equilibrium.solve(target, trap, cfg.ctl))
             pred = meso_q1d_prediction(target, trap, cfg.ctl)
             return [kappa, regime.tag, regime.eta, logv, pred.exponent,
                     pred.log_prefactor]
-        add = additional_q2d(x, y, target, trap, cfg.ctl)
+        eq = Equilibrium.solve(target, trap, cfg.ctl)
+        add = additional_q2d(x, y, eq)
         limit = q2d_additional_limit(cfg.beta, trap)
-        split = q2d_chi_split(x, y, target, trap, cfg.ctl)
+        split = q2d_chi_split(x, y, eq)
         return [kappa, regime.tag, regime.eta, add, limit,
                 split.first_half, split.second_half]
 
@@ -381,8 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the core is deterministic")
     return parser
 
 

@@ -10,7 +10,9 @@ closed form.  Equivalently, the full series equals
 where the noncondensate part sums the dyad-subtracted kernels and converges
 after ~L* terms even arbitrarily close to criticality.  The same engine
 evaluates arbitrary loop-length windows, which is what the short/meso/macro
-decompositions and the anisotropic plateau sums are made of.
+decompositions and the anisotropic plateau sums are made of.  Every trapped
+observable takes a `thermo.Equilibrium` and reads its gap, so all windows of
+one (target, trap) share a single solve.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ from scipy import integrate
 
 from .errors import (ConvergenceError, DomainError, ModelError, OriginError,
                      RegimeError, TruncationWarning)
-from .kernels import (Isotropic, TrapModel, _check_points, axis_omega_kappa,
-                      ground_energy, ground_state_product,
+from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, _check_points,
+                      axis_omega_kappa, ground_state_product,
                       log_ground_state_product)
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, de_broglie, hermite_eigen_table, polylog)
-from .thermo import (CRITICAL_BAND, CanonicalTarget, _nu_critical_trap, bose,
-                     log1mexp, mu_open_trap, solve_gap)
+from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
+                     _loop_chunks, _nu_critical_trap, bose, log1mexp,
+                     mu_open_trap, nu_critical)
 
 _DIRECT_CAP = 2_000_000
 _DIRECT_HEAD = 300_000
@@ -78,10 +81,10 @@ def _relax_length(beta, c, sq_plus, sq_minus, hw, dim, rel_tol) -> int:
     return int(math.ceil(worst))
 
 
-def _noncond_range_sum(x, y, beta: float, gap: float, trap: TrapModel,
-                       l_lo: int, l_hi, ctl: SeriesControl) -> float:
+def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
     """sum over the loop-length window [l_lo, l_hi] of
-    e^{-l beta gap} [K(x,y; l beta) - dyad], dyad = Psi0(x)Psi0(y).
+    e^{-l beta gap} [K(x,y; l beta) - dyad], dyad = Psi0(x)Psi0(y), at the
+    gap of eq.
 
     l_hi may be None (infinite window).  Terms beyond the relaxation length
     L* contribute below rel_tol relative to the macroscopic tail and are
@@ -90,9 +93,10 @@ def _noncond_range_sum(x, y, beta: float, gap: float, trap: TrapModel,
     """
     if l_lo < 1:
         raise DomainError("loop lengths start at 1")
+    beta, trap, ctl = eq.target.beta, eq.trap, eq.ctl
     c, sq_plus, sq_minus, hw = _axis_geometry(x, y, trap)
     log_dyad = log_ground_state_product(x, y, trap)
-    w0 = beta * gap
+    w0 = beta * eq.gap
 
     l_star = _relax_length(beta, c, sq_plus, sq_minus, hw, trap.dim, ctl.rel_tol)
     upper = l_star if l_hi is None else min(l_hi, l_star)
@@ -106,8 +110,7 @@ def _noncond_range_sum(x, y, beta: float, gap: float, trap: TrapModel,
 
     def chunk_sum(a: int, b: int) -> float:
         total = 0.0
-        for start in range(a, b + 1, 10**6):
-            l = np.arange(start, min(start + 10**6 - 1, b) + 1, dtype=float)
+        for l in _loop_chunks(a, b):
             dlt = _delta_exponent(l, beta, c, sq_plus, sq_minus, hw)
             base = -l * w0 + log_dyad
             # far in the Gaussian tail the dyad underflows while the kernel
@@ -150,32 +153,27 @@ def _geometric_window(w0: float, l_lo: int, l_hi) -> float:
     return head * (-math.expm1(-(l_hi - l_lo + 1) * w0))
 
 
-def rdm_loops(x, y, target: CanonicalTarget, trap: TrapModel,
-              ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def rdm_loops(x, y, eq: Equilibrium) -> float:
     """Reduced density matrix r(x,y) by the loop series at the solved mu."""
-    gap = solve_gap(target, trap, ctl)
-    dyad = ground_state_product(x, y, trap)
-    noncond = _noncond_range_sum(x, y, target.beta, gap, trap, 1, None, ctl)
-    return noncond + dyad * float(bose(target.beta * gap))
+    dyad = ground_state_product(x, y, eq.trap)
+    return _noncond_range_sum(x, y, eq, 1, None) \
+        + dyad * float(bose(eq.target.beta * eq.gap))
 
 
-def noncondensate(x, y, target: CanonicalTarget, trap: TrapModel,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def noncondensate(x, y, eq: Equilibrium) -> float:
     """rdm_loops minus the ground-state term
     Psi0(x)Psi0(y)/(e^{beta(E0-mu)}-1)."""
-    gap = solve_gap(target, trap, ctl)
-    return _noncond_range_sum(x, y, target.beta, gap, trap, 1, None, ctl)
+    return _noncond_range_sum(x, y, eq, 1, None)
 
 
-def rdm_rescaled(x, y, target: CanonicalTarget, trap: TrapModel,
-                 ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def rdm_rescaled(x, y, eq: Equilibrium) -> float:
     """|kappa|^{d/2} r(x,y): the combination with a finite open-trap limit
     above criticality."""
-    return trap.kappa_abs ** (trap.dim / 2.0) * rdm_loops(x, y, target, trap, ctl)
+    trap = eq.trap
+    return trap.kappa_abs ** (trap.dim / 2.0) * rdm_loops(x, y, eq)
 
 
-def rdm_eigen(x, y, target: CanonicalTarget, trap: TrapModel,
-              s_max: int = 200, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
     """Eigenfunction-expansion form r(x,y) = sum_s psi_s(x) psi_s(y) n_s,
     truncated at per-axis quantum number s_max.
 
@@ -183,9 +181,9 @@ def rdm_eigen(x, y, target: CanonicalTarget, trap: TrapModel,
     with the uniform sup bound on normalized oscillator eigenfunctions and a
     TruncationWarning is emitted if the bound exceeds ctl.abs_tol.
     """
+    trap, beta, ctl = eq.trap, eq.target.beta, eq.ctl
     xv, yv = _check_points(x, y, trap)
-    beta = target.beta
-    w0 = beta * solve_gap(target, trap, ctl)
+    w0 = beta * eq.gap
     hw = trap.consts.hbar * axis_omega_kappa(trap)
     a = beta * hw
     consts = trap.consts
@@ -233,27 +231,32 @@ class LoopDecomposition:
     total: float
 
 
-def _macro_cutoff(trap: TrapModel, ctl: SeriesControl) -> float:
-    """Model-specific macroscopic cutoff M; math.inf once it exceeds 2^62."""
-    from .kernels import Quasi1D, Quasi2D
+def _window_cutoffs(trap: TrapModel, ctl: SeriesControl,
+                    chi: float) -> tuple[int, float]:
+    """Short cutoff N = floor(kappa^-sigma) and upper cutoff
+    M = max(N, floor(kappa^-sigma2 e^{chi s})), s = kappa_c^2/kappa^2
+    (Quasi1D) or sqrt(kappa_c/kappa) (Quasi2D), sigma2 = None counting as 0.
 
+    M is integer-valued, or math.inf once it exceeds 2^62; isotropic traps
+    have M = N.  The macroscopic cutoff is chi = 1 (Quasi1D) or 2 (Quasi2D).
+    """
+    n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
     if isinstance(trap, Isotropic):
-        return float(math.floor(trap.kappa ** (-ctl.sigma)))
-    sigma2 = 0.0 if ctl.sigma2 is None else ctl.sigma2
+        return n_short, float(n_short)
     if isinstance(trap, Quasi1D):
-        log_m = trap.kappa_c**2 / trap.kappa**2 - sigma2 * math.log(trap.kappa)
+        log_m = chi * (trap.kappa_c**2 / trap.kappa**2)
     elif isinstance(trap, Quasi2D):
-        log_m = 2.0 * math.sqrt(trap.kappa_c / trap.kappa) \
-            - sigma2 * math.log(trap.kappa)
+        log_m = chi * math.sqrt(trap.kappa_c / trap.kappa)
     else:  # pragma: no cover
         raise ModelError("unsupported trap model")
+    sigma2 = 0.0 if ctl.sigma2 is None else ctl.sigma2
+    log_m -= sigma2 * math.log(trap.kappa)
     if log_m >= 62.0 * math.log(2.0):
-        return math.inf
-    return float(math.floor(math.exp(log_m)))
+        return n_short, math.inf
+    return n_short, max(float(math.floor(math.exp(log_m))), float(n_short))
 
 
-def loop_decompose(x, y, target: CanonicalTarget, trap: TrapModel,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> LoopDecomposition:
+def loop_decompose(x, y, eq: Equilibrium) -> LoopDecomposition:
     """Split the loop series at N = floor(kappa^-sigma) (short/long) and at
     the model-specific macroscopic cutoff M (meso/macro).
 
@@ -261,24 +264,20 @@ def loop_decompose(x, y, target: CanonicalTarget, trap: TrapModel,
     window's raw sum is evaluated as its dyad-subtracted sum plus the exact
     geometric dyad window, so the partition identity holds by construction.
     """
+    trap, ctl = eq.trap, eq.ctl
     if isinstance(trap, Isotropic) and not 1.0 < ctl.sigma < 1.5:
         raise DomainError("isotropic short cutoff requires 1 < sigma < 3/2")
     if ctl.sigma <= 0:
         raise DomainError("sigma must be positive")
-    beta = target.beta
-    gap = solve_gap(target, trap, ctl)
-    w0 = beta * gap
+    w0 = eq.target.beta * eq.gap
     dyad = ground_state_product(x, y, trap)
-
-    n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
-    m_macro = _macro_cutoff(trap, ctl)
-    if math.isfinite(m_macro):
-        m_macro = max(m_macro, float(n_short))
+    n_short, m_macro = _window_cutoffs(
+        trap, ctl, 2.0 if isinstance(trap, Quasi2D) else 1.0)
 
     def window(lo: int, hi) -> float:
         if hi is not None and hi < lo:
             return 0.0
-        sub = _noncond_range_sum(x, y, beta, gap, trap, lo, hi, ctl)
+        sub = _noncond_range_sum(x, y, eq, lo, hi)
         return sub + dyad * _geometric_window(w0, lo, hi)
 
     short_sum = window(1, n_short)
@@ -312,7 +311,7 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
     q = math.pi * float(np.sum((xv - yv) ** 2)) / lam**2
 
     if d >= 2:
-        nu_c = polylog(float(d), 1.0, ctl) / (consts.hbar * consts.omega0 * beta) ** d
+        nu_c = nu_critical(beta, d, consts, ctl)
         if nu > nu_c or (d == 2 and nu >= nu_c * (1.0 - CRITICAL_BAND)):
             return math.inf
         if d == 3 and abs(nu - nu_c) < CRITICAL_BAND * nu_c:
@@ -359,7 +358,7 @@ def divergence_law(beta: float, nu: float, d: int,
     """Tag describing how the open-trap rdm diverges, or None if finite."""
     if d == 1:
         return None
-    nu_c = polylog(float(d), 1.0, ctl) / (consts.hbar * consts.omega0 * beta) ** d
+    nu_c = nu_critical(beta, d, consts, ctl)
     if d == 2 and nu >= nu_c * (1.0 - CRITICAL_BAND):
         return "logarithmic-in-kappa"
     if d == 3 and nu > nu_c * (1.0 + CRITICAL_BAND):
@@ -367,13 +366,13 @@ def divergence_law(beta: float, nu: float, d: int,
     return None
 
 
-def local_density_scaled(x, delta: float, target: CanonicalTarget,
-                         trap: TrapModel, ctl: SeriesControl = DEFAULT_CONTROL,
+def local_density_scaled(x, delta: float, eq: Equilibrium,
                          rescaled: bool = False) -> float:
     """Diagonal density at the dilated point x kappa^-delta (isotropic traps).
 
     With rescaled=True the |kappa|^{d/2}-rescaled matrix is evaluated instead.
     """
+    trap = eq.trap
     if not isinstance(trap, Isotropic):
         raise ModelError("delta-scaled densities are defined for isotropic traps")
     if not 0.0 <= delta <= 1.0:
@@ -385,8 +384,22 @@ def local_density_scaled(x, delta: float, target: CanonicalTarget,
         raise OriginError("scaled density undefined at the origin for delta > 0")
     point = xv * trap.kappa ** (-delta)
     if rescaled:
-        return rdm_rescaled(point, point, target, trap, ctl)
-    return rdm_loops(point, point, target, trap, ctl)
+        return rdm_rescaled(point, point, eq)
+    return rdm_loops(point, point, eq)
+
+
+def condensate_density(beta: float, nu: float, d: int,
+                       consts: PhysicalConstants = DEFAULT_CONSTANTS,
+                       ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+    """Open-trap condensate density, the kappa->0 limit of the rescaled
+    diagonal rdm at the trap centre:
+    2^{d/2} (hbar omega0 beta)^{d/2} (nu - nu_c) / lambda^d, and 0 unless
+    nu > nu_c."""
+    nu_c = nu_critical(beta, d, consts, ctl)
+    if not nu > nu_c:
+        return 0.0
+    return 2.0 ** (d / 2.0) * (consts.hbar * consts.omega0 * beta) ** (d / 2.0) \
+        * (nu - nu_c) / de_broglie(beta, consts) ** d
 
 
 def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
@@ -404,8 +417,7 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     lam = de_broglie(beta, consts)
     v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
-    nu_c = math.inf if d == 1 else \
-        polylog(float(d), 1.0, ctl) / (consts.hbar * consts.omega0 * beta) ** d
+    nu_c = nu_critical(beta, d, consts, ctl)
 
     if math.isfinite(nu_c) and abs(nu - nu_c) < CRITICAL_BAND * nu_c:
         raise RegimeError("nu inside the critical band")
@@ -418,8 +430,7 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
 
     # supercritical
     if rescaled:
-        amp = 2.0 ** (d / 2.0) * (consts.hbar * consts.omega0 * beta) ** (d / 2.0) \
-            * (nu - nu_c) / lam**d
+        amp = condensate_density(beta, nu, d, consts, ctl)
         if delta < 0.5:
             return amp
         if delta == 0.5:

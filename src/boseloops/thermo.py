@@ -1,6 +1,6 @@
 """Bulk grand-canonical quantities: loop-series particle numbers, grand
-potential, critical numbers, chemical-potential inversion, occupations and
-g-BEC band sums.
+potential, critical numbers, chemical-potential inversion into a solved
+`Equilibrium`, occupations and g-BEC band sums.
 
 The central object is the loop series nu = |kappa|^d sum_l z^l Tr G(l beta).
 Near condensation the gap Delta = E0 - mu becomes tiny and naive truncation
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,21 @@ def log1mexp(v):
 def bose(v):
     """Bose factor 1/(e^v - 1) for v > 0."""
     return 1.0 / np.expm1(np.asarray(v, dtype=float))
+
+
+def _loop_chunks(lo: int, hi: int):
+    """Loop lengths lo..hi as float arrays of at most 10^6 elements."""
+    for start in range(lo, hi + 1, 10**6):
+        yield np.arange(start, min(start + 10**6 - 1, hi) + 1, dtype=float)
+
+
+def _iso_degeneracy(n, d: int):
+    """Degeneracy of the isotropic level n in d dimensions."""
+    if d == 1:
+        return np.ones_like(n)
+    if d == 2:
+        return n + 1.0
+    return (n + 1.0) * (n + 2.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -154,9 +169,7 @@ class _LoopProduct:
         cap = min(ctl.max_terms, 2 * 10**6)
         self.big_l, self.slow = _split_axes(self.a, ln_fac, cap)
         self.chunks = []
-        for start in range(1, self.big_l + 1, 10**6):
-            l = np.arange(start, min(start + 10**6 - 1, self.big_l) + 1,
-                          dtype=float)
+        for l in _loop_chunks(1, self.big_l):
             # one axis at a time: no (axes x L) temporaries
             log_p = np.zeros_like(l)
             for a_j in self.a:
@@ -207,13 +220,7 @@ def nu_eigen_sum(pt: GrandCanonicalPoint, n_max: int = 400) -> float:
     w0 = beta * pt.gap
     if isinstance(trap, Isotropic):
         n = np.arange(0, n_max + 1, dtype=float)
-        if trap.d == 1:
-            deg = np.ones_like(n)
-        elif trap.d == 2:
-            deg = n + 1.0
-        else:
-            deg = (n + 1.0) * (n + 2.0) / 2.0
-        val = float(np.sum(deg * bose(w0 + a[0] * n)))
+        val = float(np.sum(_iso_degeneracy(n, trap.d) * bose(w0 + a[0] * n)))
     else:
         grids = np.meshgrid(*[np.arange(0, n_max + 1, dtype=float)] * 3,
                             indexing="ij", sparse=True)
@@ -238,8 +245,7 @@ def grand_potential(pt: GrandCanonicalPoint, ctl: SeriesControl = DEFAULT_CONTRO
             "grand_potential: slowest axis needs more loop terms than max_terms")
     w0 = beta * pt.gap
     total = 0.0
-    for start in range(1, big_l + 1, 10**6):
-        l = np.arange(start, min(start + 10**6 - 1, big_l) + 1, dtype=float)
+    for l in _loop_chunks(1, big_l):
         log_p = -np.sum(log1mexp(np.outer(a, l)), axis=0)
         total += float(np.sum(np.exp(-l * w0) * np.expm1(log_p) / l))
     total += -float(log1mexp(w0))
@@ -274,10 +280,8 @@ def nu_critical(beta: float, d: int,
 def _nu_critical_trap(beta: float, trap: TrapModel,
                       ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """nu_c with the trap's effective omega0 (geometric mean for anisotropic)."""
-    d = trap.dim
-    if d == 1:
-        return math.inf
-    return polylog(float(d), 1.0, ctl) / (trap.consts.hbar * trap.omega0 * beta) ** d
+    return nu_critical(beta, trap.dim, replace(trap.consts, omega0=trap.omega0),
+                       ctl)
 
 
 def nu_m(beta: float, trap: TrapModel, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
@@ -325,16 +329,42 @@ def solve_mu(target: CanonicalTarget, trap: TrapModel,
     return ground_energy(trap) - solve_gap(target, trap, ctl)
 
 
-def occupation(target: CanonicalTarget, trap: TrapModel, s,
-               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+@dataclass(frozen=True)
+class Equilibrium:
+    """A trap at a canonical target together with its gap Delta = E0 - mu.
+
+    Every loop-series observable (`occupation`, `gbec_band_sum`, the `rdm`
+    matrices and windows, the `aniso` window sums) reads the gap from here,
+    so a (target, trap) is solved once however many observables and windows
+    are evaluated at it.  `Equilibrium.solve` finds the gap with one
+    `solve_gap`; a gap known from a given mu is passed to the constructor.
+    """
+
+    target: CanonicalTarget
+    trap: TrapModel
+    ctl: SeriesControl
+    gap: float
+
+    def __post_init__(self):
+        if not self.gap > 0.0:
+            raise DomainError("the gap E0 - mu must be positive")
+
+    @classmethod
+    def solve(cls, target: CanonicalTarget, trap: TrapModel,
+              ctl: SeriesControl = DEFAULT_CONTROL) -> Equilibrium:
+        """The equilibrium at target.nu, by one `solve_gap`."""
+        return cls(target, trap, ctl, solve_gap(target, trap, ctl))
+
+
+def occupation(eq: Equilibrium, s) -> float:
     """Occupation |kappa|^d / (e^{beta(E_s - mu)} - 1) at the solved mu."""
-    gap = solve_gap(target, trap, ctl)
+    trap = eq.trap
     s = tuple(int(v) for v in s)
     if len(s) != trap.dim or any(v < 0 for v in s):
         eigenvalue(trap, s)  # delegate the error reporting
     wk = axis_omega_kappa(trap)
     excite = trap.consts.hbar * float(np.dot(wk, np.asarray(s, dtype=float)))
-    w = target.beta * (gap + excite)
+    w = eq.target.beta * (eq.gap + excite)
     return trap.kappa_abs ** trap.dim * float(bose(w))
 
 
@@ -388,31 +418,24 @@ def _tail2(v: float, ctl: SeriesControl) -> float:
     return -v * float(log1mexp(v)) + _li2_exp(v, ctl)
 
 
-def gbec_band_sum(target: CanonicalTarget, trap: TrapModel, epsilon: float,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def gbec_band_sum(eq: Equilibrium, epsilon: float) -> float:
     """Sum of occupations over the band 0 < sum_j kappa_j s_j <= epsilon
     (ground state excluded)."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
-    beta = target.beta
-    gap = solve_gap(target, trap, ctl)
-    a = _axis_rates(beta, trap)
+    trap, ctl = eq.trap, eq.ctl
+    a = _axis_rates(eq.target.beta, trap)
     kap = np.array(trap.kappas)
     scale = trap.kappa_abs ** trap.dim
-    w0 = beta * gap
+    w0 = eq.target.beta * eq.gap
 
     if isinstance(trap, Isotropic):
         n_hi = int(math.floor(epsilon / kap[0]))
         if n_hi < 1:
             return 0.0
         n = np.arange(1, n_hi + 1, dtype=float)
-        if trap.d == 1:
-            deg = np.ones_like(n)
-        elif trap.d == 2:
-            deg = n + 1.0
-        else:
-            deg = (n + 1.0) * (n + 2.0) / 2.0
-        return scale * float(np.sum(deg * bose(w0 + a[0] * n)))
+        return scale * float(np.sum(_iso_degeneracy(n, trap.d)
+                                    * bose(w0 + a[0] * n)))
 
     total = 0.0
     if isinstance(trap, Quasi1D):

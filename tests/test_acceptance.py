@@ -57,7 +57,7 @@ from boseloops.rdm import (loop_decompose, local_density_scaled, noncondensate,
                            rdm_eigen, rdm_loops, rdm_rescaled,
                            scaled_density_limit)
 from boseloops.specfun import de_broglie, polylog
-from boseloops.thermo import (CanonicalTarget, GrandCanonicalPoint,
+from boseloops.thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
                               _nu_critical_trap, gap_asymptotic, gbec_band_sum,
                               nu_critical, nu_m, nu_rescaled, solve_gap)
 from boseloops.aniso import (additional_q2d, meso_q1d, meso_q1d_prediction,
@@ -76,10 +76,9 @@ class TestCriterion1DualRepresentation:
             nu = float(rng.uniform(0.3, 5.0))
             x = np.array([float(rng.uniform(-1.5, 1.5))])
             y = np.array([float(rng.uniform(-1.5, 1.5))])
-            trap = Isotropic(1, kappa)
-            target = CanonicalTarget(BETA, nu)
-            a = rdm_loops(x, y, target, trap)
-            b = rdm_eigen(x, y, target, trap, s_max=200)
+            eq = Equilibrium.solve(CanonicalTarget(BETA, nu), Isotropic(1, kappa))
+            a = rdm_loops(x, y, eq)
+            b = rdm_eigen(x, y, eq, s_max=200)
             assert a == pytest.approx(b, abs=1e-8), \
                 f"loops vs eigen mismatch at kappa={kappa}, nu={nu}"
         assert time.monotonic() - start < 30.0
@@ -140,14 +139,14 @@ class TestCriterion5CondensateValue:
         lam = de_broglie(BETA)
         target = CanonicalTarget(BETA, 2.0 * ZETA_3)
         amp = 2.0 ** 1.5 * BETA ** 1.5 * (target.nu - ZETA_3) / lam ** 3
-        trap = Isotropic(3, 0.005)
+        eq = Equilibrium.solve(target, Isotropic(3, 0.005))
         pairs = [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
                  ((0.3, 0.0, 0.0), (-0.2, 0.1, 0.0)),
                  ((0.5, 0.5, 0.0), (0.0, 0.0, 0.4)),
                  ((0.8, 0.0, 0.0), (0.0, 0.8, 0.0)),
                  ((-0.4, 0.3, 0.2), (0.1, -0.5, 0.3))]
         for x, y in pairs:
-            val = rdm_rescaled(np.asarray(x), np.asarray(y), target, trap)
+            val = rdm_rescaled(np.asarray(x), np.asarray(y), eq)
             assert abs(val - amp) / amp < 0.02, f"pair {x},{y}"
 
 
@@ -157,7 +156,8 @@ class TestCriterion6LogLaw2D:
         target = CanonicalTarget(BETA, 2.0 * nu_critical(BETA, 2))
         kappas = (0.1, 0.05, 0.02, 0.01, 0.005)
         x = np.zeros(2)
-        vals = [noncondensate(x, x, target, Isotropic(2, k)) for k in kappas]
+        vals = [noncondensate(x, x, Equilibrium.solve(target, Isotropic(2, k)))
+                for k in kappas]
         slope = np.polyfit([math.log(1.0 / k) for k in kappas], vals, 1)[0]
         assert slope == pytest.approx(1.0 / lam ** 2, rel=0.05)
 
@@ -184,19 +184,19 @@ class TestCriterion7Profiles:
                 * math.exp(-r * r / kappa)
             assert cond / pred < 0.1 * 0.02, \
                 f"condensate term {cond / pred:.3g} of the limit at r={r}"
-            vals.append(local_density_scaled(x, 1.0, target,
-                                             Isotropic(3, kappa)))
+            eq = Equilibrium.solve(target, Isotropic(3, kappa))
+            vals.append(local_density_scaled(x, 1.0, eq))
         limit = 2.0 * vals[1] - vals[0]
         rel = abs(limit - pred) / pred
         assert rel < 0.02, \
             f"delta=1 profile off by {rel:.3g} at r={r} (tolerance 2%)"
 
     def test_delta_half_gaussian_width(self):
-        trap = Isotropic(3, 0.01)
-        target = CanonicalTarget(BETA, 2.0 * ZETA_3)
+        eq = Equilibrium.solve(CanonicalTarget(BETA, 2.0 * ZETA_3),
+                               Isotropic(3, 0.01))
         rs = np.array([0.3, 0.5, 0.7, 0.9, 1.1])
         logs = [math.log(local_density_scaled(np.array([r, 0.0, 0.0]), 0.5,
-                                              target, trap, rescaled=True))
+                                              eq, rescaled=True))
                 for r in rs]
         slope = np.polyfit(rs ** 2, logs, 1)[0]
         width = math.sqrt(-1.0 / slope)
@@ -213,14 +213,16 @@ class TestCriterion8GbecPlateau:
         nuc = _nu_critical_trap(BETA, self.TRAP)
         numm = nu_m(BETA, self.TRAP)
         nu = 0.5 * (nuc + numm)
-        band = gbec_band_sum(CanonicalTarget(BETA, nu), self.TRAP, 0.05)
+        band = gbec_band_sum(
+            Equilibrium.solve(CanonicalTarget(BETA, nu), self.TRAP), 0.05)
         assert band == pytest.approx(nu - nuc, rel=0.05)
 
     def test_coexistence_window(self):
         nuc = _nu_critical_trap(BETA, self.TRAP)
         numm = nu_m(BETA, self.TRAP)
-        band = gbec_band_sum(CanonicalTarget(BETA, 2.0 * numm), self.TRAP,
-                             0.05)
+        band = gbec_band_sum(
+            Equilibrium.solve(CanonicalTarget(BETA, 2.0 * numm), self.TRAP),
+            0.05)
         assert band == pytest.approx(numm - nuc, rel=0.05)
 
 
@@ -236,7 +238,7 @@ class TestCriterion9MesoExponent:
         for k in (kappa, kappa * 1.1 if kappa > 0.36 else kappa / 1.1):
             trap = Quasi1D(k, 1.0)
             target = CanonicalTarget(BETA, 2.0 * nu_m(BETA, trap))
-            logs.append(meso_q1d(x, x, target, trap))
+            logs.append(meso_q1d(x, x, Equilibrium.solve(target, trap)))
             exponents.append(meso_q1d_prediction(target, trap).exponent)
         slope = (logs[1] - logs[0]) / (exponents[1] - exponents[0])
         assert abs(slope - 1.0) < 0.10, \
@@ -249,12 +251,13 @@ class TestCriterion10AdditionalTerm:
     # limit, and its mass sits in the first chi-half (see module docstring)
     TRAP = Quasi2D(0.005, 1.0)
 
-    def _target(self):
-        return CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, self.TRAP))
+    def _eq(self):
+        target = CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, self.TRAP))
+        return Equilibrium.solve(target, self.TRAP)
 
     def test_limit_value(self):
         x = np.zeros(3)
-        add = additional_q2d(x, x, self._target(), self.TRAP)
+        add = additional_q2d(x, x, self._eq())
         limit = q2d_additional_limit(BETA, self.TRAP)
         rel = abs(add - limit) / limit
         assert rel < 0.05, \
@@ -263,7 +266,7 @@ class TestCriterion10AdditionalTerm:
 
     def test_chi_split_halves(self):
         x = np.zeros(3)
-        split = q2d_chi_split(x, x, self._target(), self.TRAP)
+        split = q2d_chi_split(x, x, self._eq())
         half = split.predicted_half
         rel1 = abs(split.first_half - half) / half
         rel2 = abs(split.second_half - half) / half
@@ -286,7 +289,7 @@ class TestCriterion11PropertySuites:
     def test_loop_partition_exact(self):
         trap = Quasi1D(0.3, 1.0)
         dec = loop_decompose(np.zeros(3), np.zeros(3),
-                             CanonicalTarget(BETA, 3.0), trap)
+                             Equilibrium.solve(CanonicalTarget(BETA, 3.0), trap))
         assert dec.short_sum + dec.meso_sum + dec.macro_sum == dec.total
 
     def test_solver_residual(self):

@@ -8,15 +8,15 @@ import pytest
 
 from boseloops.aniso import (AnisotropicRegime, ChiSplit, MesoPrediction,
                              additional_q2d, classify, meso_q1d,
-                             meso_q1d_prediction, noncondensate_aniso,
-                             q2d_additional_limit, q2d_chi_split)
+                             meso_q1d_prediction, q2d_additional_limit,
+                             q2d_chi_split)
 from boseloops.errors import DomainError, ModelError, RegimeError
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy,
                                ground_state_product, log_kernel_d)
-from boseloops.rdm import noncondensate
-from boseloops.specfun import DEFAULT_CONTROL, de_broglie
-from boseloops.thermo import (CanonicalTarget, _nu_critical_trap, nu_m,
-                              solve_gap)
+from boseloops.rdm import _noncond_range_sum, loop_decompose
+from boseloops.specfun import DEFAULT_CONTROL, SeriesControl, de_broglie
+from boseloops.thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
+                              nu_m)
 
 BETA = 1.0
 
@@ -66,8 +66,9 @@ class TestMesoQuasi1D:
         # enumerate the defined window sum directly from the kernels
         kappa = 0.4
         trap = Quasi1D(kappa, 1.0)
-        target = CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap))
-        gap = solve_gap(target, trap)
+        eq = Equilibrium.solve(
+            CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap)), trap)
+        gap = eq.gap
         x = np.zeros(3)
         n = int(math.floor(kappa ** -1.25))
         m = int(math.floor(math.exp(1.0 / kappa**2)))
@@ -77,20 +78,35 @@ class TestMesoQuasi1D:
         log_k = log_kernel_d(x, x, l * BETA, trap) + e0 * l * BETA
         brute = float(np.sum(np.exp(-l * BETA * gap)
                              * (np.exp(log_k) - dyad)))
-        assert meso_q1d(x, x, target, trap) == pytest.approx(
-            math.log(brute), abs=1e-10)
+        assert meso_q1d(x, x, eq) == pytest.approx(math.log(brute), abs=1e-10)
+
+    def test_window_ends_at_macro_cutoff_with_sigma2(self):
+        # M = floor(kappa^-sigma2 e^{kappa_c^2/kappa^2}) = 651, not the 518
+        # of e^{kappa_c^2/kappa^2} alone; in the coexistence regime the gap
+        # is small enough that loops 519..651 carry 6% of the window
+        trap = Quasi1D(0.4, 1.0)
+        eq = Equilibrium.solve(CanonicalTarget(BETA, 2.0 * nu_m(BETA, trap)),
+                               trap, SeriesControl(sigma2=0.25))
+        x = np.zeros(3)
+        dec = loop_decompose(x, x, eq)
+        assert dec.macro_cutoff == 651.0
+        window = _noncond_range_sum(x, x, eq, dec.short_cutoff + 1,
+                                    int(dec.macro_cutoff))
+        assert meso_q1d(x, x, eq) == pytest.approx(math.log(window),
+                                                   rel=1e-12)
 
     def test_model_check(self):
+        eq = Equilibrium.solve(CanonicalTarget(BETA, 1.0), Quasi2D(0.3, 1.0))
         with pytest.raises(ModelError):
-            meso_q1d(np.zeros(3), np.zeros(3), CanonicalTarget(BETA, 1.0),
-                     Quasi2D(0.3, 1.0))
+            meso_q1d(np.zeros(3), np.zeros(3), eq)
 
     def test_grows_as_kappa_shrinks(self):
         vals = []
         for kappa in (0.4, 0.3, 0.25):
             trap = Quasi1D(kappa, 1.0)
-            target = CanonicalTarget(BETA, 2.0 * nu_m(BETA, trap))
-            vals.append(meso_q1d(np.zeros(3), np.zeros(3), target, trap))
+            eq = Equilibrium.solve(CanonicalTarget(BETA, 2.0 * nu_m(BETA, trap)),
+                                   trap)
+            vals.append(meso_q1d(np.zeros(3), np.zeros(3), eq))
         assert vals[0] < vals[1] < vals[2]
 
 
@@ -136,19 +152,21 @@ class TestAdditionalQuasi2D:
 
     def test_positive_and_window_monotone_in_chi(self):
         trap = Quasi2D(0.05, 1.0)
-        target = CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap))
+        eq = Equilibrium.solve(
+            CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap)), trap)
         x = np.zeros(3)
-        small = additional_q2d(x, x, target, trap, chi=1.0)
-        large = additional_q2d(x, x, target, trap, chi=2.0)
+        small = additional_q2d(x, x, eq, chi=1.0)
+        large = additional_q2d(x, x, eq, chi=2.0)
         assert 0.0 < small <= large
 
     def test_chi_split_is_a_partition(self):
         trap = Quasi2D(0.05, 1.0)
-        target = CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap))
+        eq = Equilibrium.solve(
+            CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap)), trap)
         x = np.zeros(3)
-        split = q2d_chi_split(x, x, target, trap)
+        split = q2d_chi_split(x, x, eq)
         assert isinstance(split, ChiSplit)
-        whole = additional_q2d(x, x, target, trap, chi=2.0)
+        whole = additional_q2d(x, x, eq, chi=2.0)
         assert split.first_half + split.second_half == pytest.approx(
             whole, rel=1e-9)
         assert split.predicted_half == pytest.approx(
@@ -160,7 +178,8 @@ class TestAdditionalQuasi2D:
         # q2d_additional_limit docstring); the rest is the Euler-Maclaurin
         # endpoint term, 1/(2 N log(...)) relative: 5e-5 at kappa=0.005
         trap = Quasi2D(kappa, 1.0)
-        target = CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap))
+        eq = Equilibrium.solve(
+            CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap)), trap)
         consts = trap.consts
         kappa_1, kappa_perp, _ = trap.kappas
         psi1_sq = math.sqrt(consts.mass * trap.omega1 * kappa_1
@@ -170,39 +189,24 @@ class TestAdditionalQuasi2D:
                                * kappa_perp * n_short)
         expected = psi1_sq * log_window / de_broglie(BETA, consts) ** 2
         x = np.zeros(3)
-        assert additional_q2d(x, x, target, trap) == pytest.approx(
-            expected, rel=1e-4)
+        assert additional_q2d(x, x, eq) == pytest.approx(expected, rel=1e-4)
 
     def test_chi_split_mass_in_first_window(self):
         # the relaxed slow-axis summand has decayed by l ~ 1/(2 kappa_perp),
         # i.e. chi = 1
         trap = Quasi2D(0.005, 1.0)
-        target = CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap))
+        eq = Equilibrium.solve(
+            CanonicalTarget(BETA, 1.5 * _nu_critical_trap(BETA, trap)), trap)
         x = np.zeros(3)
-        split = q2d_chi_split(x, x, target, trap)
+        split = q2d_chi_split(x, x, eq)
         assert 0.0 < split.second_half < 0.02 * split.first_half
 
     def test_chi_validation(self):
-        trap = Quasi2D(0.05, 1.0)
+        eq = Equilibrium.solve(CanonicalTarget(BETA, 1.0), Quasi2D(0.05, 1.0))
         with pytest.raises(DomainError):
-            additional_q2d(np.zeros(3), np.zeros(3),
-                           CanonicalTarget(BETA, 1.0), trap, chi=0.0)
+            additional_q2d(np.zeros(3), np.zeros(3), eq, chi=0.0)
 
     def test_model_check(self):
+        eq = Equilibrium.solve(CanonicalTarget(BETA, 1.0), Quasi1D(0.3, 1.0))
         with pytest.raises(ModelError):
-            additional_q2d(np.zeros(3), np.zeros(3),
-                           CanonicalTarget(BETA, 1.0), Quasi1D(0.3, 1.0))
-
-
-class TestNoncondensateAniso:
-    def test_delegates_to_engine(self):
-        trap = Quasi2D(0.3, 1.0)
-        target = CanonicalTarget(BETA, 1.0)
-        x = np.zeros(3)
-        assert noncondensate_aniso(x, x, target, trap) == pytest.approx(
-            noncondensate(x, x, target, trap), rel=1e-12)
-
-    def test_isotropic_rejected(self):
-        with pytest.raises(ModelError):
-            noncondensate_aniso(np.zeros(3), np.zeros(3),
-                                CanonicalTarget(BETA, 1.0), Isotropic(3, 0.3))
+            additional_q2d(np.zeros(3), np.zeros(3), eq)

@@ -3,9 +3,11 @@ formats and determinism."""
 
 import json
 import math
+import sys
 
 import pytest
 
+from boseloops import thermo
 from boseloops.cli import ResultTable, main, parse_config
 from boseloops.errors import DomainError
 
@@ -287,3 +289,43 @@ class TestDeterminism:
         _, o2 = _run(tmp_path, "rdm", {"kappa": 0.3, "nu": 2.0},
                      fmt="json", name="j2")
         assert o1.read_bytes() == o2.read_bytes()
+
+
+class TestOneSolvePerRow:
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+        real = thermo.solve_gap
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+        # every boseloops namespace that binds solve_gap, not only its home
+        for name, mod in list(sys.modules.items()):
+            if name == "boseloops" or name.startswith("boseloops."):
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("command, doc", [
+        ("thermo", THERMO_DOC),
+        ("rdm", {"kappa_ladder": [0.4, 0.2], "nu": 2.0}),
+        ("loops", {"kappa_ladder": [0.4, 0.2], "nu": 2.0}),
+        ("mu-solve", {"kappa_ladder": [0.4, 0.2], "nu": 2.0}),
+        ("aniso-check", {"model": "quasi2d", "kappa_ladder": [0.2, 0.1],
+                         "kappa_c": 1.0, "nu": 2.0}),
+    ])
+    def test_one_solve_per_kappa(self, tmp_path, monkeypatch, command, doc):
+        calls = self._count_solves(monkeypatch)
+        code, _ = _run(tmp_path, command, doc)
+        assert code == 0
+        assert len(calls) == len(parse_config(doc).kappas)
+
+    def test_profile_solves_once(self, tmp_path, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        doc = {"kappa": 0.05, "nu": 2.0 * 1.202056903, "delta": 0.5,
+               "rescaled": True, "grid": [0.4, 0.8, 1.2]}
+        code, _ = _run(tmp_path, "profile", doc)
+        assert code == 0
+        assert len(calls) == 1

@@ -16,8 +16,8 @@ from boseloops.kernels import (Isotropic, Quasi1D, _coth, _log_sinh,
                                ground_energy, mehler_kernel_1d)
 from boseloops.rdm import loop_decompose, rdm_loops
 from boseloops.specfun import polylog
-from boseloops.thermo import (CanonicalTarget, GrandCanonicalPoint, bose,
-                              log1mexp, nu_rescaled, solve_gap)
+from boseloops.thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
+                              bose, log1mexp, nu_rescaled, solve_gap)
 
 RNG = np.random.default_rng(20260824)
 X_SAMPLE = RNG.uniform(0.0, 100.0, size=10_000)
@@ -110,18 +110,17 @@ class TestHypothesisProperties:
     @given(nu=st.floats(0.5, 5.0), x0=st.floats(-1.0, 1.0),
            y0=st.floats(-1.0, 1.0))
     def test_rdm_symmetry_and_cauchy_schwarz(self, nu, x0, y0):
-        trap = Isotropic(1, 0.4)
-        target = CanonicalTarget(1.0, nu)
+        eq = Equilibrium.solve(CanonicalTarget(1.0, nu), Isotropic(1, 0.4))
         x, y = np.array([x0]), np.array([y0])
-        rxy = rdm_loops(x, y, target, trap)
-        assert rxy == pytest.approx(rdm_loops(y, x, target, trap), rel=1e-11)
-        assert rxy ** 2 <= rdm_loops(x, x, target, trap) \
-            * rdm_loops(y, y, target, trap) * (1.0 + 1e-11)
+        rxy = rdm_loops(x, y, eq)
+        assert rxy == pytest.approx(rdm_loops(y, x, eq), rel=1e-11)
+        assert rxy ** 2 <= rdm_loops(x, x, eq) \
+            * rdm_loops(y, y, eq) * (1.0 + 1e-11)
 
     @settings(max_examples=15, deadline=None)
     @given(nu=st.floats(0.5, 6.0), kappa=st.floats(0.15, 0.6))
     def test_loop_partition_exact(self, nu, kappa):
         trap = Quasi1D(kappa, 1.0)
         dec = loop_decompose(np.zeros(3), np.zeros(3),
-                             CanonicalTarget(1.0, nu), trap)
+                             Equilibrium.solve(CanonicalTarget(1.0, nu), trap))
         assert dec.short_sum + dec.meso_sum + dec.macro_sum == dec.total

@@ -17,7 +17,7 @@ from boseloops.rdm import (BarometricRadii, LoopDecomposition, barometric_radii,
                            rdm_eigen, rdm_loops, rdm_rescaled,
                            scaled_density_limit, semiclassical_density)
 from boseloops.specfun import SeriesControl, de_broglie, polylog
-from boseloops.thermo import CanonicalTarget, bose, nu_critical, solve_gap
+from boseloops.thermo import CanonicalTarget, Equilibrium, bose, nu_critical
 
 ZETA_3 = 1.2020569031595942854
 
@@ -26,105 +26,99 @@ def _target(nu=2.0, beta=1.0):
     return CanonicalTarget(beta, nu)
 
 
+def _eq(trap, nu=2.0, ctl=SeriesControl()):
+    return Equilibrium.solve(_target(nu), trap, ctl)
+
+
 class TestDualRepresentation:
     @pytest.mark.parametrize("trap", [Isotropic(1, 0.5), Isotropic(2, 0.4)])
     def test_loops_vs_eigen(self, trap):
-        target = _target(3.0)
+        eq = _eq(trap, 3.0)
         for x0, y0 in ((0.0, 0.0), (0.7, -0.4), (1.5, 1.2)):
             x = np.full(trap.dim, x0)
             y = np.full(trap.dim, y0)
-            a = rdm_loops(x, y, target, trap)
-            b = rdm_eigen(x, y, target, trap, s_max=160)
+            a = rdm_loops(x, y, eq)
+            b = rdm_eigen(x, y, eq, s_max=160)
             assert a == pytest.approx(b, abs=1e-9, rel=1e-9)
 
     def test_truncation_warning(self):
         trap = Isotropic(1, 0.02)  # slow spectrum: s_max=20 cannot converge
         with pytest.warns(TruncationWarning):
-            rdm_eigen(np.zeros(1), np.zeros(1), _target(1.0), trap, s_max=20)
+            rdm_eigen(np.zeros(1), np.zeros(1), _eq(trap, 1.0), s_max=20)
 
 
 class TestStructure:
     def test_symmetry_and_positivity(self):
-        trap = Isotropic(3, 0.4)
-        target = _target(3.0)
+        eq = _eq(Isotropic(3, 0.4), 3.0)
         x = np.array([0.3, -0.2, 0.5])
         y = np.array([-0.1, 0.4, 0.0])
-        rxy = rdm_loops(x, y, target, trap)
-        ryx = rdm_loops(y, x, target, trap)
+        rxy = rdm_loops(x, y, eq)
+        ryx = rdm_loops(y, x, eq)
         assert rxy == pytest.approx(ryx, rel=1e-11)
-        assert rdm_loops(x, x, target, trap) > 0.0
+        assert rdm_loops(x, x, eq) > 0.0
 
     def test_cauchy_schwarz(self):
-        trap = Isotropic(2, 0.5)
-        target = _target(2.5)
+        eq = _eq(Isotropic(2, 0.5), 2.5)
         x = np.array([0.8, -0.3])
         y = np.array([-0.5, 1.1])
-        rxy = rdm_loops(x, y, target, trap)
-        assert rxy**2 <= rdm_loops(x, x, target, trap) \
-            * rdm_loops(y, y, target, trap) * (1.0 + 1e-12)
+        rxy = rdm_loops(x, y, eq)
+        assert rxy**2 <= rdm_loops(x, x, eq) \
+            * rdm_loops(y, y, eq) * (1.0 + 1e-12)
 
     def test_noncondensate_plus_condensate(self):
         trap = Isotropic(3, 0.1)
-        target = _target(2.0 * ZETA_3)
+        eq = _eq(trap, 2.0 * ZETA_3)
         x = np.array([0.2, 0.0, -0.3])
-        gap = solve_gap(target, trap)
-        full = rdm_loops(x, x, target, trap)
-        split = noncondensate(x, x, target, trap) \
-            + ground_state_product(x, x, trap) * float(bose(gap))
+        full = rdm_loops(x, x, eq)
+        split = noncondensate(x, x, eq) \
+            + ground_state_product(x, x, trap) * float(bose(eq.gap))
         assert full == pytest.approx(split, rel=1e-12)
 
     def test_rescaled_scaling(self):
         trap = Isotropic(3, 0.2)
-        target = _target(2.0)
+        eq = _eq(trap, 2.0)
         x = np.zeros(3)
-        assert rdm_rescaled(x, x, target, trap) == pytest.approx(
-            trap.kappa ** 1.5 * rdm_loops(x, x, target, trap), rel=1e-14)
+        assert rdm_rescaled(x, x, eq) == pytest.approx(
+            trap.kappa ** 1.5 * rdm_loops(x, x, eq), rel=1e-14)
 
 
 class TestLoopDecomposition:
     @pytest.mark.parametrize("trap", [Isotropic(3, 0.2), Quasi1D(0.4, 1.0),
                                       Quasi2D(0.3, 1.0)])
     def test_partition_identity(self, trap):
-        target = _target(3.0)
+        eq = _eq(trap, 3.0)
         x = np.array([0.1, -0.2, 0.3])
-        dec = loop_decompose(x, x, target, trap)
+        dec = loop_decompose(x, x, eq)
         assert isinstance(dec, LoopDecomposition)
         # the three windows partition the full series
         assert dec.short_sum + dec.meso_sum + dec.macro_sum == dec.total
-        assert dec.total == pytest.approx(rdm_loops(x, x, target, trap),
-                                          rel=1e-8)
+        assert dec.total == pytest.approx(rdm_loops(x, x, eq), rel=1e-8)
         assert dec.short_sum >= 0.0 and dec.total > 0.0
 
     def test_window_additivity(self):
         from boseloops.rdm import _noncond_range_sum
-        from boseloops.specfun import DEFAULT_CONTROL
-        trap = Isotropic(3, 0.3)
-        target = _target(2.5)
-        gap = solve_gap(target, trap)
+        eq = _eq(Isotropic(3, 0.3), 2.5)
         x = np.zeros(3)
-        whole = _noncond_range_sum(x, x, 1.0, gap, trap, 1, 500,
-                                   DEFAULT_CONTROL)
-        parts = _noncond_range_sum(x, x, 1.0, gap, trap, 1, 99,
-                                   DEFAULT_CONTROL) \
-            + _noncond_range_sum(x, x, 1.0, gap, trap, 100, 500,
-                                 DEFAULT_CONTROL)
+        whole = _noncond_range_sum(x, x, eq, 1, 500)
+        parts = _noncond_range_sum(x, x, eq, 1, 99) \
+            + _noncond_range_sum(x, x, eq, 100, 500)
         assert whole == pytest.approx(parts, rel=1e-12)
 
     def test_isotropic_sigma_window(self):
         trap = Isotropic(3, 0.2)
         with pytest.raises(DomainError):
-            loop_decompose(np.zeros(3), np.zeros(3), _target(1.0), trap,
-                           SeriesControl(sigma=2.0))
+            loop_decompose(np.zeros(3), np.zeros(3),
+                           _eq(trap, 1.0, SeriesControl(sigma=2.0)))
 
     def test_isotropic_macro_equals_short_cutoff(self):
         trap = Isotropic(3, 0.2)
-        dec = loop_decompose(np.zeros(3), np.zeros(3), _target(1.0), trap)
+        dec = loop_decompose(np.zeros(3), np.zeros(3), _eq(trap, 1.0))
         assert dec.macro_cutoff == float(dec.short_cutoff)
         assert dec.meso_sum == 0.0
 
     def test_quasi1d_macro_cutoff_overflow_policy(self):
         trap = Quasi1D(0.1, 1.0)  # e^{100} loop lengths: beyond any integer
-        dec = loop_decompose(np.zeros(3), np.zeros(3), _target(3.0), trap)
+        dec = loop_decompose(np.zeros(3), np.zeros(3), _eq(trap, 3.0))
         assert math.isinf(dec.macro_cutoff)
         assert dec.macro_sum == 0.0
 
@@ -170,19 +164,17 @@ class TestScaledProfiles:
     def test_origin_rejected_for_positive_delta(self):
         trap = Isotropic(3, 0.1)
         with pytest.raises(OriginError):
-            local_density_scaled(np.zeros(3), 1.0, _target(1.0), trap)
+            local_density_scaled(np.zeros(3), 1.0, _eq(trap, 1.0))
 
     def test_anisotropic_rejected(self):
         with pytest.raises(ModelError):
-            local_density_scaled(np.ones(3), 1.0, _target(1.0),
-                                 Quasi1D(0.3, 1.0))
+            local_density_scaled(np.ones(3), 1.0, _eq(Quasi1D(0.3, 1.0), 1.0))
 
     def test_delta_zero_is_plain_diagonal(self):
-        trap = Isotropic(3, 0.2)
-        target = _target(2.0)
+        eq = _eq(Isotropic(3, 0.2), 2.0)
         x = np.array([0.4, 0.1, -0.2])
-        assert local_density_scaled(x, 0.0, target, trap) == pytest.approx(
-            rdm_loops(x, x, target, trap), rel=1e-12)
+        assert local_density_scaled(x, 0.0, eq) == pytest.approx(
+            rdm_loops(x, x, eq), rel=1e-12)
 
     def test_limit_branches(self):
         target = _target(2.0 * ZETA_3)

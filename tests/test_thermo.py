@@ -12,7 +12,7 @@ from boseloops.errors import (BracketError, DomainError, ModelError,
                               RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
 from boseloops.specfun import DEFAULT_CONTROL, SeriesControl
-from boseloops.thermo import (CanonicalTarget, GrandCanonicalPoint,
+from boseloops.thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
                               _bose_range_sum, _nu_critical_trap, bose,
                               gap_asymptotic, gbec_band_sum, grand_potential,
                               log1mexp, mu_open_trap, nu_critical,
@@ -304,24 +304,22 @@ class TestBoseRangeSum:
 class TestOccupationAndBand:
     def test_ground_occupation(self):
         trap = Isotropic(3, 0.2)
-        target = CanonicalTarget(1.0, 2.0)
-        gap = solve_gap(target, trap)
-        occ = occupation(target, trap, (0, 0, 0))
-        assert occ == pytest.approx(trap.kappa**3 * float(bose(gap)),
+        eq = Equilibrium.solve(CanonicalTarget(1.0, 2.0), trap)
+        occ = occupation(eq, (0, 0, 0))
+        assert occ == pytest.approx(trap.kappa**3 * float(bose(eq.gap)),
                                     rel=1e-10)
 
     def test_excited_below_ground(self):
         trap = Isotropic(3, 0.2)
-        target = CanonicalTarget(1.0, 2.0)
-        assert occupation(target, trap, (1, 0, 0)) \
-            < occupation(target, trap, (0, 0, 0))
+        eq = Equilibrium.solve(CanonicalTarget(1.0, 2.0), trap)
+        assert occupation(eq, (1, 0, 0)) < occupation(eq, (0, 0, 0))
 
     def test_band_sum_vs_brute_force(self):
         trap = Quasi1D(0.4, 1.0)
         beta, eps = 1.0, 0.05
-        target = CanonicalTarget(beta, 3.0)
-        band = gbec_band_sum(target, trap, eps)
-        gap = solve_gap(target, trap)
+        eq = Equilibrium.solve(CanonicalTarget(beta, 3.0), trap)
+        band = gbec_band_sum(eq, eps)
+        gap = eq.gap
         k1, kp, _ = trap.kappas
         total = 0.0
         for n1 in range(int(eps / kp) + 1):
@@ -338,8 +336,9 @@ class TestOccupationAndBand:
 
     def test_band_requires_valid_epsilon(self):
         with pytest.raises(DomainError):
-            gbec_band_sum(CanonicalTarget(1.0, 1.0), Isotropic(3, 0.3), 0.0)
+            gbec_band_sum(Equilibrium.solve(CanonicalTarget(1.0, 1.0),
+                                            Isotropic(3, 0.3)), 0.0)
 
     def test_band_empty_when_epsilon_below_first_level(self):
-        assert gbec_band_sum(CanonicalTarget(1.0, 1.0), Isotropic(3, 0.3),
-                             0.05) == 0.0
+        eq = Equilibrium.solve(CanonicalTarget(1.0, 1.0), Isotropic(3, 0.3))
+        assert gbec_band_sum(eq, 0.05) == 0.0
