@@ -11,10 +11,9 @@ from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy,
                       mehler_kernel_1d, semigroup_trace)
 from .specfun import (PhysicalConstants, SeriesControl, de_broglie, gamma0,
                       hermite_eigenfunction, polylog)
-from .thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
-                     gbec_band_sum, grand_potential, mu_asymptotic,
-                     mu_open_trap, nu_critical, nu_m, nu_open_trap,
-                     nu_rescaled, occupation, solve_mu)
+from .thermo import (CanonicalTarget, Equilibrium, gbec_band_sum,
+                     grand_potential, mu_open_trap, nu_critical, nu_m,
+                     nu_open_trap, nu_rescaled, occupation, solve_mu)
 from .rdm import (BarometricRadii, LoopDecomposition, barometric_radii,
                   local_density_scaled, loop_decompose, noncondensate,
                   open_trap_rdm, rdm_eigen, rdm_loops, rdm_rescaled,

@@ -31,9 +31,9 @@ from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy
 from .rdm import (condensate_density, loop_decompose, local_density_scaled,
                   noncondensate, rdm_loops, rdm_rescaled, scaled_density_limit)
 from .specfun import PhysicalConstants, SeriesControl
-from .thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
-                     _nu_critical_trap, gap_asymptotic, gbec_band_sum, nu_m,
-                     nu_rescaled, occupation)
+from .thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
+                     gap_asymptotic, gbec_band_sum, nu_m, nu_rescaled,
+                     occupation)
 
 log = logging.getLogger("boseloops")
 
@@ -134,12 +134,16 @@ def parse_config(doc: dict) -> RunConfig:
         raise DomainError("units must be 'natural' or an object")
 
     series = doc.get("series", {})
+    if not isinstance(series, dict):
+        raise DomainError("series must be an object")
+    unknown = sorted(set(series) - {"rel_tol", "abs_tol", "sigma", "sigma2"})
+    if unknown:
+        raise DomainError(f"unknown series key(s): {', '.join(unknown)}")
     ctl = SeriesControl(
         rel_tol=float(series.get("rel_tol", 1e-10)),
         abs_tol=float(series.get("abs_tol", 1e-12)),
-        max_terms=int(series.get("max_terms", 10**7)),
         sigma=float(series.get("sigma", 1.25)),
-        sigma2=(float(series["sigma2"]) if "sigma2" in series else None),
+        sigma2=float(series.get("sigma2", 0.0)),
     )
     known = {"model", "kappa", "kappa_ladder", "beta", "nu", "mu", "d",
              "kappa_c", "omega1", "omega_perp", "units", "series"}
@@ -195,14 +199,13 @@ def cmd_thermo(cfg: RunConfig, threads: int = 1) -> ResultTable:
         if cfg.nu is not None:
             eq = Equilibrium.solve(CanonicalTarget(cfg.beta, cfg.nu), trap,
                                    cfg.ctl)
-            mu = ground_energy(trap) - eq.gap
+            mu, nu = ground_energy(trap) - eq.gap, cfg.nu
         else:
             mu = cfg.mu
-            pt = GrandCanonicalPoint(cfg.beta, mu, trap)
-            eq = Equilibrium(CanonicalTarget(cfg.beta, nu_rescaled(pt, cfg.ctl)),
-                             trap, cfg.ctl, pt.gap)
+            eq = Equilibrium(cfg.beta, trap, cfg.ctl, ground_energy(trap) - mu)
+            nu = nu_rescaled(eq)
         nu_c = _nu_critical_trap(cfg.beta, trap, cfg.ctl)
-        row = [kappa, mu, eq.gap, eq.target.nu, occupation(eq, (0,) * trap.dim),
+        row = [kappa, mu, eq.gap, nu, occupation(eq, (0,) * trap.dim),
                gbec_band_sum(eq, epsilon),
                "divergent:d1-no-critical-number" if math.isinf(nu_c) else nu_c]
         if cfg.model == "quasi1d":

@@ -38,6 +38,8 @@ from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
 _DIRECT_CAP = 2_000_000
 _DIRECT_HEAD = 300_000
 _CRAMER = 1.0865
+# guard on the open-trap loop series; its tail bound is met long before it
+_MAX_LOOPS = 10**9
 
 
 def _axis_geometry(x, y, trap: TrapModel):
@@ -93,7 +95,7 @@ def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
     """
     if l_lo < 1:
         raise DomainError("loop lengths start at 1")
-    beta, trap, ctl = eq.target.beta, eq.trap, eq.ctl
+    beta, trap, ctl = eq.beta, eq.trap, eq.ctl
     c, sq_plus, sq_minus, hw = _axis_geometry(x, y, trap)
     log_dyad = log_ground_state_product(x, y, trap)
     w0 = beta * eq.gap
@@ -157,7 +159,7 @@ def rdm_loops(x, y, eq: Equilibrium) -> float:
     """Reduced density matrix r(x,y) by the loop series at the solved mu."""
     dyad = ground_state_product(x, y, eq.trap)
     return _noncond_range_sum(x, y, eq, 1, None) \
-        + dyad * float(bose(eq.target.beta * eq.gap))
+        + dyad * float(bose(eq.beta * eq.gap))
 
 
 def noncondensate(x, y, eq: Equilibrium) -> float:
@@ -181,7 +183,7 @@ def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
     with the uniform sup bound on normalized oscillator eigenfunctions and a
     TruncationWarning is emitted if the bound exceeds ctl.abs_tol.
     """
-    trap, beta, ctl = eq.trap, eq.target.beta, eq.ctl
+    trap, beta, ctl = eq.trap, eq.beta, eq.ctl
     xv, yv = _check_points(x, y, trap)
     w0 = beta * eq.gap
     hw = trap.consts.hbar * axis_omega_kappa(trap)
@@ -235,7 +237,7 @@ def _window_cutoffs(trap: TrapModel, ctl: SeriesControl,
                     chi: float) -> tuple[int, float]:
     """Short cutoff N = floor(kappa^-sigma) and upper cutoff
     M = max(N, floor(kappa^-sigma2 e^{chi s})), s = kappa_c^2/kappa^2
-    (Quasi1D) or sqrt(kappa_c/kappa) (Quasi2D), sigma2 = None counting as 0.
+    (Quasi1D) or sqrt(kappa_c/kappa) (Quasi2D).
 
     M is integer-valued, or math.inf once it exceeds 2^62; isotropic traps
     have M = N.  The macroscopic cutoff is chi = 1 (Quasi1D) or 2 (Quasi2D).
@@ -249,8 +251,7 @@ def _window_cutoffs(trap: TrapModel, ctl: SeriesControl,
         log_m = chi * math.sqrt(trap.kappa_c / trap.kappa)
     else:  # pragma: no cover
         raise ModelError("unsupported trap model")
-    sigma2 = 0.0 if ctl.sigma2 is None else ctl.sigma2
-    log_m -= sigma2 * math.log(trap.kappa)
+    log_m -= ctl.sigma2 * math.log(trap.kappa)
     if log_m >= 62.0 * math.log(2.0):
         return n_short, math.inf
     return n_short, max(float(math.floor(math.exp(log_m))), float(n_short))
@@ -269,7 +270,7 @@ def loop_decompose(x, y, eq: Equilibrium) -> LoopDecomposition:
         raise DomainError("isotropic short cutoff requires 1 < sigma < 3/2")
     if ctl.sigma <= 0:
         raise DomainError("sigma must be positive")
-    w0 = eq.target.beta * eq.gap
+    w0 = eq.beta * eq.gap
     dyad = ground_state_product(x, y, trap)
     n_short, m_macro = _window_cutoffs(
         trap, ctl, 2.0 if isinstance(trap, Quasi2D) else 1.0)
@@ -326,7 +327,7 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
     n = 0
     chunk = 8192
     log_z = math.log(z) if z < 1.0 else 0.0
-    while n < 100 * ctl.max_terms:
+    while n < _MAX_LOOPS:
         l = np.arange(n + 1, n + chunk + 1, dtype=float)
         total += float(np.sum(np.exp(l * log_z - q / l) / l**half))
         n += chunk

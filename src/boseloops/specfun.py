@@ -16,6 +16,9 @@ from .errors import ConvergenceError, DomainError
 
 _EULER_GAMMA = 0.5772156649015328606
 
+# guard on the direct polylog series; the tail bound is met long before it
+_MAX_TERMS = 10**7
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -38,21 +41,18 @@ class SeriesControl:
     """Truncation and cutoff policy for all infinite sums.
 
     sigma is the short/macroscopic loop-cutoff exponent (N = floor(kappa^-sigma));
-    sigma2 is the optional second exponent used by the anisotropic three-way
-    splits.
+    sigma2 is the second exponent of the anisotropic upper cutoffs
+    (M = floor(kappa^-sigma2 e^{...}), see `rdm.loop_decompose`).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_terms: int = 10**7
     sigma: float = 1.25
-    sigma2: float | None = None
+    sigma2: float = 0.0
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be a positive integer")
 
 
 DEFAULT_CONTROL = SeriesControl()
@@ -125,8 +125,8 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
     n = 0
     chunk = 4096
     log_xi = math.log(xi)
-    while n < ctl.max_terms:
-        m = np.arange(n + 1, min(n + chunk, ctl.max_terms) + 1, dtype=float)
+    while n < _MAX_TERMS:
+        m = np.arange(n + 1, min(n + chunk, _MAX_TERMS) + 1, dtype=float)
         total += float(np.sum(np.exp(m * log_xi) / m ** theta))
         n = int(m[-1])
         next_term = math.exp((n + 1) * log_xi) / (n + 1) ** theta
@@ -137,7 +137,7 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
             return total
         chunk = min(2 * chunk, 2 * 10**6)
     raise ConvergenceError(
-        f"polylog({theta}, {xi}): tail bound not met within {ctl.max_terms} terms")
+        f"polylog({theta}, {xi}): tail bound not met within {_MAX_TERMS} terms")
 
 
 def gamma0(x: float) -> float:

@@ -2,16 +2,18 @@
 potential, critical numbers, chemical-potential inversion into a solved
 `Equilibrium`, occupations and g-BEC band sums.
 
-The central object is the loop series nu = |kappa|^d sum_l z^l Tr G(l beta).
-Near condensation the gap Delta = E0 - mu becomes tiny and naive truncation
-would need ~1/(beta*Delta) terms; beyond the loop length where the trace has
-collapsed onto its ground-state asymptote e^{-E0 l beta} the remainder is an
-exact geometric series and is summed in closed form.  The gap-independent
-product P_l = prod_j (1-e^{-a_j l})^{-1} over the direct stretch l <= L is
-built once per gap solve and reused for every trial gap.  For the anisotropic
-models one or two axes relax astronomically more slowly than the others; their
-factors are still far from 1 at l = L, and the remainder beyond L is taken as
-an endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature.
+The central object is the loop series sum_l z^l Tr G(l beta), with weight 1
+for nu = |kappa|^d sum_l z^l Tr G(l beta) and weight 1/l for Omega.  Near
+condensation the gap Delta = E0 - mu becomes tiny and naive truncation would
+need ~1/(beta*Delta) terms; beyond the loop length where the trace has
+collapsed onto its ground-state asymptote e^{-E0 l beta} the remainder is
+summed in closed form (a geometric series for nu, a logarithm for Omega).  The
+gap-independent product P_l = prod_j (1-e^{-a_j l})^{-1} over the direct
+stretch l <= L is built once per gap solve, in `_LoopProduct`, for both
+series.  For the anisotropic models one or two axes relax astronomically more
+slowly than the others; their factors are still far from 1 at l = L, and the
+remainder beyond L is an endpoint Euler-Maclaurin tail whose integral is an
+adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BracketError, ConvergenceError, DomainError, ModelError,
-                     RegimeError, TruncationWarning)
+from .errors import (BracketError, DomainError, ModelError, RegimeError,
+                     TruncationWarning)
 from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
                       eigenvalue, ground_energy)
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
@@ -33,6 +35,10 @@ _ZETA2 = math.pi**2 / 6.0
 
 # window outside which a nu is considered safely away from a critical value
 CRITICAL_BAND = 1e-6
+
+# longest direct stretch of the loop sums; slow axes beyond it take the
+# Euler-Maclaurin tail
+_DIRECT_CAP = 2 * 10**6
 
 
 def log1mexp(v):
@@ -63,25 +69,6 @@ def _iso_degeneracy(n, d: int):
     if d == 2:
         return n + 1.0
     return (n + 1.0) * (n + 2.0) / 2.0
-
-
-@dataclass(frozen=True)
-class GrandCanonicalPoint:
-    """State (beta, mu) for a given trap; requires mu < E0 strictly."""
-
-    beta: float
-    mu: float
-    trap: TrapModel
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError("beta must be positive")
-        if not self.mu < ground_energy(self.trap):
-            raise DomainError("mu must lie strictly below the ground energy")
-
-    @property
-    def gap(self) -> float:
-        return ground_energy(self.trap) - self.mu
 
 
 @dataclass(frozen=True)
@@ -117,57 +104,20 @@ def _split_axes(a: np.ndarray, ln_fac: float, cap: int):
     return int(math.ceil(min(cap, max(l_fast, 1e4)))), slow
 
 
-def _em_tail(w0: float, a: np.ndarray, big_l: int,
-             log_scale: float) -> tuple[float, float]:
-    """sum_{l>L} e^{log_scale - l w0} prod_j (1-e^{-a_j l})^{-1} by endpoint
-    Euler-Maclaurin: exact integral (adaptive quadrature in log loop-length)
-    plus half-term and B2 correction.  Returns (tail, quadrature error
-    estimate).
-
-    Robust for arbitrarily small axis rates a_j: everything is evaluated in
-    summed-log form and the quadrature is guided by the axis relaxation
-    scales 1/a_j and the gap scale 1/w0.
-    """
-    from scipy import integrate
-
-    def log_g(l):
-        z = np.minimum(np.outer(a, np.atleast_1d(l)), 745.0)
-        return log_scale - np.atleast_1d(l) * w0 - np.sum(log1mexp(z), axis=0)
-
-    def g(l: float) -> float:
-        val = float(log_g(l)[0])
-        return math.exp(val) if val > -745.0 else 0.0
-
-    l1 = big_l + 1.0
-    l_max = min(1e306, (2000.0 + abs(log_scale)) / w0)
-    if l_max <= l1:
-        return g(l1), 0.0  # tail already extinguished by the gap factor
-    v1, v2 = math.log(l1), math.log(l_max)
-    knots = sorted({min(max(math.log(1.0 / r), v1), v2)
-                    for r in list(a) + [w0] if r > 0.0})
-    val, err = integrate.quad(lambda v: g(math.exp(v)) * math.exp(v),
-                              v1, v2, points=knots, limit=500,
-                              epsabs=1e-300, epsrel=1e-11)
-    g1 = g(l1)
-    with np.errstate(over="ignore"):
-        slope = w0 + float(np.sum(a / np.expm1(np.minimum(a * l1, 745.0))))
-    return val + 0.5 * g1 + slope * g1 / 12.0, err
-
-
 class _LoopProduct:
-    """Gap-independent part of the loop sum for one (beta, trap, ctl): the
+    """Gap-independent part of the loop sums for one (beta, trap, ctl): the
     direct length L, the slow axes and log P_l for l <= L, in chunks of 10^6.
 
-    `sum(w0, log_scale)` adds the gap-dependent factor e^{-l w0} and the tail
-    beyond L, so a gap solve builds P_l once for all its trial gaps.
+    `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega) add
+    the gap-dependent factor e^{-l w0} and the tail beyond L, so a gap solve
+    builds P_l once for all its trial gaps.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
         self.a = _axis_rates(beta, trap)
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
-        cap = min(ctl.max_terms, 2 * 10**6)
-        self.big_l, self.slow = _split_axes(self.a, ln_fac, cap)
+        self.big_l, self.slow = _split_axes(self.a, ln_fac, _DIRECT_CAP)
         self.chunks = []
         for l in _loop_chunks(1, self.big_l):
             # one axis at a time: no (axes x L) temporaries
@@ -175,6 +125,51 @@ class _LoopProduct:
             for a_j in self.a:
                 log_p -= log1mexp(np.minimum(a_j * l, 745.0))
             self.chunks.append((l, log_p))
+
+    def _log_p(self, l: float) -> float:
+        """log P(l) at a real loop length l."""
+        return -float(np.sum(log1mexp(np.minimum(self.a * l, 745.0))))
+
+    def _rate(self, l: float) -> float:
+        """-d log P/dl = sum_j a_j / (e^{a_j l} - 1)."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(self.a / np.expm1(np.minimum(self.a * l,
+                                                             745.0))))
+
+    def _em_tail(self, total: float, log_f, slope: float, w0: float,
+                 log_scale: float) -> float:
+        """total + sum_{l>L} f(l), f = e^{log_f(l)}, by endpoint
+        Euler-Maclaurin: exact integral (adaptive quadrature in log
+        loop-length) plus half-term and B2 correction, slope = -f'/f at L+1.
+        Warns (TruncationWarning) when the quadrature error estimate exceeds
+        rel_tol of the result.
+
+        f carries the gap factor e^{log_scale - l w0}, so the integral ends
+        where that factor has died out.  Robust for arbitrarily small axis
+        rates a_j: log_f is a summed-log form and the quadrature is guided by
+        the axis relaxation scales 1/a_j and the gap scale 1/w0.
+        """
+        from scipy import integrate
+
+        def f(l: float) -> float:
+            val = log_f(l)
+            return math.exp(val) if val > -745.0 else 0.0
+
+        l1 = self.big_l + 1.0
+        l_max = min(1e306, (2000.0 + abs(log_scale)) / w0)
+        if l_max <= l1:
+            return total + f(l1)  # tail already extinguished by the gap
+        v1, v2 = math.log(l1), math.log(l_max)
+        knots = sorted({min(max(math.log(1.0 / r), v1), v2)
+                        for r in list(self.a) + [w0] if r > 0.0})
+        val, err = integrate.quad(lambda v: f(math.exp(v)) * math.exp(v),
+                                  v1, v2, points=knots, limit=500,
+                                  epsabs=1e-300, epsrel=1e-11)
+        f1 = f(l1)
+        total += val + 0.5 * f1 + slope * f1 / 12.0
+        if err > self.rel_tol * total:
+            warnings.warn(TruncationWarning(err))
+        return total
 
     def sum(self, w0: float, log_scale: float) -> float:
         """e^{log_scale} sum_{l>=1} e^{-l w0} P_l."""
@@ -184,40 +179,52 @@ class _LoopProduct:
         if not np.any(self.slow):
             return total + math.exp(log_scale - (self.big_l + 1) * w0) \
                 / (-math.expm1(-w0))
-        tail, err = _em_tail(w0, self.a, self.big_l, log_scale)
-        total += tail
-        if err > self.rel_tol * total:
-            warnings.warn(TruncationWarning(err))
-        return total
+        return self._em_tail(
+            total, lambda l: log_scale - l * w0 + self._log_p(l),
+            w0 + self._rate(self.big_l + 1.0), w0, log_scale)
+
+    def log_partition(self, w0: float) -> float:
+        """sum_{l>=1} e^{-l w0} P_l / l: the P_l = 1 part exactly as
+        -log(1 - e^{-w0}), the P_l - 1 part over l <= L and, with slow axes,
+        the tail (with fast axes only, P_l - 1 < rel_tol / 2 beyond L)."""
+        total = 0.0
+        for l, log_p in self.chunks:
+            total += float(np.sum(np.exp(-l * w0) * np.expm1(log_p) / l))
+        total += -float(log1mexp(w0))
+        if not np.any(self.slow):
+            return total
+
+        def log_f(l: float) -> float:  # log(P - 1) = log P + log(1 - 1/P)
+            log_p = self._log_p(l)
+            return -l * w0 + log_p + float(log1mexp(log_p)) - math.log(l)
+
+        l1 = self.big_l + 1.0
+        slope = w0 + 1.0 / l1 + self._rate(l1) / -math.expm1(-self._log_p(l1))
+        return self._em_tail(total, log_f, slope, w0, 0.0)
 
 
-def _loop_number_sum(beta: float, gap: float, trap: TrapModel,
-                     ctl: SeriesControl, log_scale: float = 0.0) -> float:
-    """e^{log_scale} sum_{l>=1} e^{-l beta gap} prod_j (1-e^{-a_j l})^{-1}.
+def nu_rescaled(eq: Equilibrium) -> float:
+    """Rescaled particle number nu = |kappa|^d sum_l z^l Tr G(l beta).
 
-    The scale factor is applied inside the summation so that the rescaled
-    particle number stays representable even when the slowest axis rate (and
-    with it |kappa|^d) underflows any fixed floating-point window.
+    The scale factor is applied inside the summation so that nu stays
+    representable even when the slowest axis rate (and with it |kappa|^d)
+    underflows any fixed floating-point window.
     """
-    return _LoopProduct(beta, trap, ctl).sum(beta * gap, log_scale)
-
-
-def nu_rescaled(pt: GrandCanonicalPoint, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Rescaled particle number nu = |kappa|^d sum_l z^l Tr G(l beta)."""
-    trap = pt.trap
+    trap = eq.trap
     log_scale = trap.dim * math.log(trap.kappa_abs)
-    return _loop_number_sum(pt.beta, pt.gap, trap, ctl, log_scale)
+    return _LoopProduct(eq.beta, trap, eq.ctl).sum(eq.beta * eq.gap,
+                                                   log_scale)
 
 
-def nu_eigen_sum(pt: GrandCanonicalPoint, n_max: int = 400) -> float:
+def nu_eigen_sum(eq: Equilibrium, n_max: int = 400) -> float:
     """Eigenvalue-sum form of nu, truncated at per-axis quantum number n_max.
 
     Independent cross-check of the loop form; exact up to the truncation tail
     (geometric with per-axis ratio e^{-a_j n_max}).
     """
-    beta, trap = pt.beta, pt.trap
-    a = _axis_rates(beta, trap)
-    w0 = beta * pt.gap
+    trap = eq.trap
+    a = _axis_rates(eq.beta, trap)
+    w0 = eq.beta * eq.gap
     if isinstance(trap, Isotropic):
         n = np.arange(0, n_max + 1, dtype=float)
         val = float(np.sum(_iso_degeneracy(n, trap.d) * bose(w0 + a[0] * n)))
@@ -229,27 +236,16 @@ def nu_eigen_sum(pt: GrandCanonicalPoint, n_max: int = 400) -> float:
     return trap.kappa_abs ** trap.dim * val
 
 
-def grand_potential(pt: GrandCanonicalPoint, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def grand_potential(eq: Equilibrium) -> float:
     """Grand-canonical potential per the loop-trace series
     Omega = -(1/beta) sum_l (z^l / l) Tr G(l beta).
 
     Writes Tr G(l beta) = e^{-E0 l beta} P_l with P_l -> 1 and resums the
-    P_l = 1 part exactly as (1/beta) log(1 - e^{-beta Delta}).
+    P_l = 1 part exactly as (1/beta) log(1 - e^{-beta Delta}); the P_l - 1
+    part shares the direct stretch and the slow-axis tail of `nu_rescaled`.
     """
-    beta, trap = pt.beta, pt.trap
-    a = _axis_rates(beta, trap)
-    ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
-    big_l = int(math.ceil(float(np.max(ln_fac / a))))
-    if big_l > ctl.max_terms:
-        raise ConvergenceError(
-            "grand_potential: slowest axis needs more loop terms than max_terms")
-    w0 = beta * pt.gap
-    total = 0.0
-    for l in _loop_chunks(1, big_l):
-        log_p = -np.sum(log1mexp(np.outer(a, l)), axis=0)
-        total += float(np.sum(np.exp(-l * w0) * np.expm1(log_p) / l))
-    total += -float(log1mexp(w0))
-    return -total / beta
+    loops = _LoopProduct(eq.beta, eq.trap, eq.ctl)
+    return -loops.log_partition(eq.beta * eq.gap) / eq.beta
 
 
 def nu_open_trap(beta: float, mu: float, d: int,
@@ -331,21 +327,23 @@ def solve_mu(target: CanonicalTarget, trap: TrapModel,
 
 @dataclass(frozen=True)
 class Equilibrium:
-    """A trap at a canonical target together with its gap Delta = E0 - mu.
+    """A trap at inverse temperature beta with its gap Delta = E0 - mu > 0.
 
-    Every loop-series observable (`occupation`, `gbec_band_sum`, the `rdm`
-    matrices and windows, the `aniso` window sums) reads the gap from here,
-    so a (target, trap) is solved once however many observables and windows
-    are evaluated at it.  `Equilibrium.solve` finds the gap with one
-    `solve_gap`; a gap known from a given mu is passed to the constructor.
+    Every loop-series observable (`nu_rescaled`, `grand_potential`, the `rdm`
+    and `aniso` sums, ...) reads the gap from here, so a (target, trap) is
+    solved once however many observables are evaluated at it.
+    `Equilibrium.solve` finds the gap of a canonical target with one
+    `solve_gap`; a gap E0 - mu known from a given mu goes to the constructor.
     """
 
-    target: CanonicalTarget
+    beta: float
     trap: TrapModel
     ctl: SeriesControl
     gap: float
 
     def __post_init__(self):
+        if self.beta <= 0:
+            raise DomainError("beta must be positive")
         if not self.gap > 0.0:
             raise DomainError("the gap E0 - mu must be positive")
 
@@ -353,7 +351,7 @@ class Equilibrium:
     def solve(cls, target: CanonicalTarget, trap: TrapModel,
               ctl: SeriesControl = DEFAULT_CONTROL) -> Equilibrium:
         """The equilibrium at target.nu, by one `solve_gap`."""
-        return cls(target, trap, ctl, solve_gap(target, trap, ctl))
+        return cls(target.beta, trap, ctl, solve_gap(target, trap, ctl))
 
 
 def occupation(eq: Equilibrium, s) -> float:
@@ -364,7 +362,7 @@ def occupation(eq: Equilibrium, s) -> float:
         eigenvalue(trap, s)  # delegate the error reporting
     wk = axis_omega_kappa(trap)
     excite = trap.consts.hbar * float(np.dot(wk, np.asarray(s, dtype=float)))
-    w = eq.target.beta * (eq.gap + excite)
+    w = eq.beta * (eq.gap + excite)
     return trap.kappa_abs ** trap.dim * float(bose(w))
 
 
@@ -424,10 +422,10 @@ def gbec_band_sum(eq: Equilibrium, epsilon: float) -> float:
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
     trap, ctl = eq.trap, eq.ctl
-    a = _axis_rates(eq.target.beta, trap)
+    a = _axis_rates(eq.beta, trap)
     kap = np.array(trap.kappas)
     scale = trap.kappa_abs ** trap.dim
-    w0 = eq.target.beta * eq.gap
+    w0 = eq.beta * eq.gap
 
     if isinstance(trap, Isotropic):
         n_hi = int(math.floor(epsilon / kap[0]))
@@ -527,8 +525,3 @@ def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
         return k1 * kp**2 / (beta * (nu - nu_c))
     raise ModelError("unsupported trap model")  # pragma: no cover
 
-
-def mu_asymptotic(target: CanonicalTarget, trap: TrapModel,
-                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """E0 - gap_asymptotic; subject to the same rounding caveat as solve_mu."""
-    return ground_energy(trap) - gap_asymptotic(target, trap, ctl)

@@ -51,15 +51,14 @@ import pytest
 
 from boseloops.cli import main
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, axis_omega_kappa,
-                               ground_energy, mehler_kernel_1d,
-                               semigroup_trace)
+                               mehler_kernel_1d, semigroup_trace)
 from boseloops.rdm import (loop_decompose, local_density_scaled, noncondensate,
                            rdm_eigen, rdm_loops, rdm_rescaled,
                            scaled_density_limit)
 from boseloops.specfun import de_broglie, polylog
-from boseloops.thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
-                              _nu_critical_trap, gap_asymptotic, gbec_band_sum,
-                              nu_critical, nu_m, nu_rescaled, solve_gap)
+from boseloops.thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
+                              gap_asymptotic, gbec_band_sum, nu_critical,
+                              nu_m, nu_rescaled, solve_gap)
 from boseloops.aniso import (additional_q2d, meso_q1d, meso_q1d_prediction,
                              q2d_additional_limit, q2d_chi_split)
 
@@ -294,10 +293,8 @@ class TestCriterion11PropertySuites:
 
     def test_solver_residual(self):
         trap = Isotropic(3, 0.1)
-        target = CanonicalTarget(BETA, 2.0)
-        gap = solve_gap(target, trap)
-        pt = GrandCanonicalPoint(BETA, ground_energy(trap) - gap, trap)
-        assert nu_rescaled(pt) == pytest.approx(2.0, rel=1e-9)
+        eq = Equilibrium.solve(CanonicalTarget(BETA, 2.0), trap)
+        assert nu_rescaled(eq) == pytest.approx(2.0, rel=1e-9)
 
     def test_cli_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,0 +1,33 @@
+"""The benchmark (`bench/run.py`) checks each CSV row of a run against the
+reference outputs in `bench/reference/` and reports the matching share as
+`ok_frac`.  Run variant 0 of every workload in-process with the same check,
+so that an output change fails the test suite rather than a benchmark run."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from boseloops.cli import main
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(_BENCH) not in sys.path:
+    sys.path.insert(0, str(_BENCH))  # run.py imports its sibling `workloads`
+_SPEC = importlib.util.spec_from_file_location("bench_run", _BENCH / "run.py")
+run = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(run)
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_variant0_matches_reference(name, tmp_path):
+    workload = run.WORKLOADS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run.make_config(workload, 0)),
+                      encoding="utf-8")
+    output = tmp_path / "out.csv"
+    assert main(run.cli_argv(workload, str(config), str(output))) == 0
+    reference = run.reference_path(name, 0).read_text(encoding="utf-8")
+    assert run.rows_ok(output.read_text(encoding="utf-8"), reference) \
+        == len(workload.ladder)

@@ -82,6 +82,18 @@ class TestParseConfig:
         cfg = parse_config({"kappa": 0.3, "nu": 1.0,
                             "series": {"sigma": 1.1, "sigma2": 0.25}})
         assert cfg.ctl.sigma == 1.1 and cfg.ctl.sigma2 == 0.25
+        assert parse_config({"kappa": 0.3, "nu": 1.0}).ctl.sigma2 == 0.0
+
+    def test_unknown_series_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(DomainError, match="rel-tol"):
+            parse_config({"kappa": 0.3, "nu": 1.0,
+                          "series": {"rel-tol": 1e-8}})
+        with pytest.raises(DomainError, match="object"):
+            parse_config({"kappa": 0.3, "nu": 1.0, "series": "rel_tol"})
+        code, _ = _run(tmp_path, "thermo",
+                       dict(THERMO_DOC, series={"max_terms": 10**5}))
+        assert code == 2
+        assert "max_terms" in capsys.readouterr().err
 
     def test_extra_passthrough(self):
         cfg = parse_config({"kappa": 0.3, "nu": 1.0, "x": [0.1, 0.0, 0.0]})

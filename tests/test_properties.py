@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boseloops.kernels import (Isotropic, Quasi1D, _coth, _log_sinh,
-                               ground_energy, mehler_kernel_1d)
+                               mehler_kernel_1d)
 from boseloops.rdm import loop_decompose, rdm_loops
 from boseloops.specfun import polylog
-from boseloops.thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
-                              bose, log1mexp, nu_rescaled, solve_gap)
+from boseloops.thermo import (CanonicalTarget, Equilibrium, bose, log1mexp,
+                              nu_rescaled)
 
 RNG = np.random.default_rng(20260824)
 X_SAMPLE = RNG.uniform(0.0, 100.0, size=10_000)
@@ -101,10 +101,8 @@ class TestHypothesisProperties:
     @given(nu=st.floats(0.1, 20.0), kappa=st.floats(0.05, 0.9))
     def test_gap_solver_residual(self, nu, kappa):
         trap = Isotropic(3, kappa)
-        target = CanonicalTarget(1.0, nu)
-        gap = solve_gap(target, trap)
-        pt = GrandCanonicalPoint(1.0, ground_energy(trap) - gap, trap)
-        assert nu_rescaled(pt) == pytest.approx(nu, rel=1e-9)
+        eq = Equilibrium.solve(CanonicalTarget(1.0, nu), trap)
+        assert nu_rescaled(eq) == pytest.approx(nu, rel=1e-9)
 
     @settings(max_examples=15, deadline=None)
     @given(nu=st.floats(0.5, 5.0), x0=st.floats(-1.0, 1.0),

@@ -148,8 +148,6 @@ class TestConfigObjects:
     def test_series_control_validation(self):
         with pytest.raises(DomainError):
             SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
 
     def test_constants_validation(self):
         with pytest.raises(DomainError):

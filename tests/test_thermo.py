@@ -11,25 +11,31 @@ from boseloops import thermo
 from boseloops.errors import (BracketError, DomainError, ModelError,
                               RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
-from boseloops.specfun import DEFAULT_CONTROL, SeriesControl
-from boseloops.thermo import (CanonicalTarget, Equilibrium, GrandCanonicalPoint,
-                              _bose_range_sum, _nu_critical_trap, bose,
-                              gap_asymptotic, gbec_band_sum, grand_potential,
-                              log1mexp, mu_open_trap, nu_critical,
-                              nu_eigen_sum, nu_m, nu_open_trap, nu_rescaled,
-                              occupation, solve_gap, solve_mu)
+from boseloops.specfun import DEFAULT_CONTROL
+from boseloops.thermo import (CanonicalTarget, Equilibrium, _bose_range_sum,
+                              _nu_critical_trap, bose, gap_asymptotic,
+                              gbec_band_sum, grand_potential, log1mexp,
+                              mu_open_trap, nu_critical, nu_eigen_sum, nu_m,
+                              nu_open_trap, nu_rescaled, occupation,
+                              solve_gap, solve_mu)
 
 ZETA_3 = 1.2020569031595942854
 ZETA_2 = 1.6449340668482264365
+
+
+def _eq(trap, gap, beta=1.0):
+    return Equilibrium(beta, trap, DEFAULT_CONTROL, gap)
 
 
 class TestStatePoints:
     def test_mu_must_be_below_ground(self):
         tr = Isotropic(3, 0.5)
         with pytest.raises(DomainError):
-            GrandCanonicalPoint(1.0, ground_energy(tr), tr)
-        pt = GrandCanonicalPoint(1.0, ground_energy(tr) - 0.1, tr)
-        assert pt.gap == pytest.approx(0.1, rel=1e-12)
+            _eq(tr, 0.0)
+        with pytest.raises(DomainError):
+            _eq(tr, -0.1)
+        with pytest.raises(DomainError):
+            _eq(tr, 0.1, beta=0.0)
 
     def test_target_validation(self):
         with pytest.raises(DomainError):
@@ -55,30 +61,36 @@ class TestLoopNumber:
         (Isotropic(3, 0.3), 700), (Quasi2D(0.6, 0.5), 250)])
     def test_loop_vs_eigen_sum(self, trap, n_max):
         # two structurally independent summations of the same quantity
-        pt = GrandCanonicalPoint(1.0, ground_energy(trap) - 0.05, trap)
-        assert nu_rescaled(pt) == pytest.approx(nu_eigen_sum(pt, n_max),
+        eq = _eq(trap, 0.05)
+        assert nu_rescaled(eq) == pytest.approx(nu_eigen_sum(eq, n_max),
                                                 rel=1e-9)
 
     def test_quasi1d_vs_brute_force(self):
         # spectral brute force with the (n+1) transverse degeneracy
         trap = Quasi1D(0.5, 1.0)
         beta, gap = 1.0, 0.02
-        pt = GrandCanonicalPoint(beta, ground_energy(trap) - gap, trap)
+        eq = _eq(trap, gap, beta)
         a1 = beta * trap.kappas[0]
         ap = beta * trap.kappas[1]
         s = np.arange(0, 20_000, dtype=float)[:, None]
         n = np.arange(0, 120, dtype=float)[None, :]
         brute = trap.kappa_abs**3 * float(
             np.sum((n + 1.0) / np.expm1(beta * gap + a1 * s + ap * n)))
-        assert nu_rescaled(pt) == pytest.approx(brute, rel=1e-9)
+        assert nu_rescaled(eq) == pytest.approx(brute, rel=1e-9)
 
-    def test_slow_axis_tail_continuity(self):
-        # the direct/Euler-Maclaurin split must be insensitive to max_terms
-        trap = Quasi1D(0.3, 1.0)
-        pt = GrandCanonicalPoint(1.0, ground_energy(trap) - 1e-6, trap)
-        a = nu_rescaled(pt, SeriesControl(max_terms=10**7))
-        b = nu_rescaled(pt, SeriesControl(max_terms=10**5))
-        assert a == pytest.approx(b, rel=1e-8)
+    def test_slow_axis_tail_continuity(self, monkeypatch):
+        # a lower direct-sum cap moves these traps from the direct stretch
+        # with its geometric tail onto the Euler-Maclaurin tail
+        traps = [Quasi1D(0.35, 1.0), Quasi2D(0.03, 1.0), Isotropic(3, 2e-5)]
+        direct = [thermo._LoopProduct(1.0, t, DEFAULT_CONTROL) for t in traps]
+        monkeypatch.setattr(thermo, "_DIRECT_CAP", 10**5)
+        for trap, ref in zip(traps, direct):
+            em = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+            assert not ref.slow.any() and em.slow.any()
+            log_scale = trap.dim * math.log(trap.kappa_abs)
+            for gap in (1e-2, 1e-6, 1e-12):
+                assert em.sum(gap, log_scale) == pytest.approx(
+                    ref.sum(gap, log_scale), rel=1e-12, abs=0.0)
 
     def test_extreme_axis_separation(self):
         # longitudinal rate ~1e-175: everything must stay finite and solvable
@@ -87,12 +99,10 @@ class TestLoopNumber:
         target = CanonicalTarget(1.0, 2.0 * nu_m(1.0, trap))
         gap = solve_gap(target, trap)
         assert 0.0 < gap < ground_energy(trap)
-        # the gap is far below E0's float resolution; check the residual in
-        # the gap-based form directly
-        from boseloops.thermo import _loop_number_sum
-        val = _loop_number_sum(1.0, gap, trap, DEFAULT_CONTROL,
-                               3.0 * math.log(trap.kappa_abs))
-        assert val == pytest.approx(target.nu, rel=1e-8)
+        # the gap is far below E0's float resolution; the residual is taken
+        # at the gap itself
+        assert nu_rescaled(_eq(trap, gap)) == pytest.approx(target.nu,
+                                                            rel=1e-8)
 
 
 class TestLoopProduct:
@@ -137,10 +147,10 @@ class TestLoopProduct:
         import scipy.integrate
 
         trap = Quasi1D(0.3, 1.0)
-        pt = GrandCanonicalPoint(1.0, ground_energy(trap) - 1e-6, trap)
+        eq = _eq(trap, 1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
-            nu = nu_rescaled(pt)
+            nu = nu_rescaled(eq)
         real = scipy.integrate.quad
 
         def sloppy(*args, **kwargs):
@@ -148,7 +158,7 @@ class TestLoopProduct:
             return val, 1e-3 * nu
         monkeypatch.setattr(scipy.integrate, "quad", sloppy)
         with pytest.warns(TruncationWarning) as record:
-            assert nu_rescaled(pt) == nu
+            assert nu_rescaled(eq) == nu
         assert record[0].message.args == (1e-3 * nu,)
 
 
@@ -187,10 +197,8 @@ class TestSolvers:
         (Quasi2D(0.1, 1.0), 2.0),
     ])
     def test_round_trip(self, trap, nu):
-        target = CanonicalTarget(1.0, nu)
-        gap = solve_gap(target, trap)
-        pt = GrandCanonicalPoint(1.0, ground_energy(trap) - gap, trap)
-        assert nu_rescaled(pt) == pytest.approx(nu, rel=1e-9)
+        eq = Equilibrium.solve(CanonicalTarget(1.0, nu), trap)
+        assert nu_rescaled(eq) == pytest.approx(nu, rel=1e-9)
 
     def test_gap_below_double_resolution_of_mu(self):
         # the gap stays meaningful even when E0 - gap rounds back to E0
@@ -211,23 +219,68 @@ class TestSolvers:
             solve_gap(CanonicalTarget(1.0, 1e305), Isotropic(3, 0.3))
 
 
+def _omega_mode_sum(trap, gap, n_slow=2000, n_perp=300):
+    """beta Omega = sum over modes of (n+1) log(1 - e^{-(beta gap + a_perp n
+    + a_1 s)}) for Quasi1D at beta = 1: the slow quantum number s summed
+    directly up to n_slow, beyond it by Euler-Maclaurin with the closed-form
+    integral -Li2(e^{-v})/a_1 (Li2(e^{-v}) = spence(1 - e^{-v}))."""
+    from scipy.special import spence
+
+    a1, ap = trap.kappas[0], trap.kappas[1]
+    n = np.arange(n_perp, dtype=float)
+    u = gap + ap * n
+    s = np.arange(n_slow, dtype=float)
+    head = np.sum(np.log(-np.expm1(-(u[:, None] + a1 * s))), axis=1)
+    v = u + a1 * n_slow
+    tail = -spence(-np.expm1(-v)) / a1 + 0.5 * np.log(-np.expm1(-v)) \
+        - a1 / np.expm1(v) / 12.0
+    return float(np.sum((n + 1.0) * (head + tail)))
+
+
 class TestGrandPotential:
-    def test_mu_derivative_gives_particle_number(self):
-        # -dOmega/dmu equals the (unrescaled) particle number
-        trap = Isotropic(3, 0.4)
-        beta, mu0 = 1.0, ground_energy(trap) - 0.3
+    # Omega at gap 1e-3, beta 1, by the plain direct sum over all loop
+    # lengths l <= max_j ln(2d/rel_tol)/a_j (these traps need no tail)
+    DIRECT = [(Quasi1D(0.4, 1.0), -13708.726837889773),
+              (Quasi1D(0.35, 1.0), -130994.3741238266),
+              (Quasi1D(0.3, 1.0), -3748515.9658986414),
+              (Quasi2D(0.05, 1.0), -68188909.74458598),
+              (Quasi2D(0.02, 1.0), -189435612465.3532),
+              (Isotropic(3, 0.01), -1099295.1312358335),
+              (Isotropic(3, 1e-5), -1081140004224442.2)]
+
+    @staticmethod
+    def _check_particle_number(trap, gap):
+        # dOmega/dgap = -dOmega/dmu equals the (unrescaled) particle number
         h = 1e-6
-        om_p = grand_potential(GrandCanonicalPoint(beta, mu0 + h, trap))
-        om_m = grand_potential(GrandCanonicalPoint(beta, mu0 - h, trap))
-        n_exp = nu_rescaled(GrandCanonicalPoint(beta, mu0, trap)) \
-            / trap.kappa_abs ** 3
-        assert -(om_p - om_m) / (2.0 * h) == pytest.approx(n_exp, rel=1e-7)
+        om_p = grand_potential(_eq(trap, gap + h))
+        om_m = grand_potential(_eq(trap, gap - h))
+        n_exp = nu_rescaled(_eq(trap, gap)) / trap.kappa_abs ** trap.dim
+        assert (om_p - om_m) / (2.0 * h) == pytest.approx(n_exp, rel=1e-7)
+
+    def test_mu_derivative_gives_particle_number(self):
+        self._check_particle_number(Isotropic(3, 0.4), 0.3)
+
+    @pytest.mark.parametrize("trap", [
+        Quasi1D(0.25, 1.0), Quasi1D(0.2, 1.0), Quasi2D(0.01, 1.0),
+        Quasi2D(0.005, 1.0), Quasi2D(0.0035, 1.0), Isotropic(3, 5e-7)])
+    def test_mu_derivative_with_slow_axes(self, trap):
+        self._check_particle_number(trap, 1e-3)
+
+    @pytest.mark.parametrize("trap,ref", DIRECT)
+    def test_matches_direct_sum(self, trap, ref):
+        assert grand_potential(_eq(trap, 1e-3)) == pytest.approx(ref,
+                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.25])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    def test_slow_axis_vs_mode_sum(self, kappa, gap):
+        trap = Quasi1D(kappa, 1.0)
+        assert grand_potential(_eq(trap, gap)) == pytest.approx(
+            _omega_mode_sum(trap, gap), rel=1e-12)
 
     def test_decreasing_in_mu(self):
         trap = Isotropic(2, 0.5)
-        e0 = ground_energy(trap)
-        vals = [grand_potential(GrandCanonicalPoint(1.0, e0 - g, trap))
-                for g in (1.0, 0.5, 0.1)]
+        vals = [grand_potential(_eq(trap, g)) for g in (1.0, 0.5, 0.1)]
         assert vals[0] > vals[1] > vals[2]
 
 
@@ -237,8 +290,8 @@ class TestOpenTrapLaws:
         beta, mu = 1.0, -0.4
         ref = nu_open_trap(beta, mu, 3)
         trap = Isotropic(3, 0.005)
-        pt = GrandCanonicalPoint(beta, ground_energy(trap) + mu, trap)
-        assert nu_rescaled(pt) == pytest.approx(ref, rel=2e-2)
+        eq = _eq(trap, -mu, beta)
+        assert nu_rescaled(eq) == pytest.approx(ref, rel=2e-2)
 
     def test_mu_open_trap_inverts(self):
         for d in (1, 2, 3):
