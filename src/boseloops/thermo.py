@@ -5,20 +5,21 @@ potential, critical numbers, chemical-potential inversion into a solved
 The central object is the loop series sum_l z^l Tr G(l beta), with weight 1
 for nu = |kappa|^d sum_l z^l Tr G(l beta) and weight 1/l for Omega.  Near
 condensation the gap Delta = E0 - mu becomes tiny and naive truncation would
-need ~1/(beta*Delta) terms; beyond the loop length where the trace has
-collapsed onto its ground-state asymptote e^{-E0 l beta} the remainder is
-summed in closed form (a geometric series for nu, a logarithm for Omega).  The
-gap-independent product P_l = prod_j (1-e^{-a_j l})^{-1} over the direct
-stretch l <= L is built once per gap solve, in `_LoopProduct`, for both
-series.  For the anisotropic models one or two axes relax astronomically more
-slowly than the others; their factors are still far from 1 at l = L, and the
-remainder beyond L is an endpoint Euler-Maclaurin tail whose integral is an
-adaptive quadrature.
+need ~1/(beta*Delta) terms.  The gap-independent product
+P_l = prod_j (1-e^{-a_j l})^{-1} is built once per gap solve, in
+`_LoopProduct`, for both series, over one direct stretch l <= L of at most
+10^4 loops.  When every axis has relaxed by L (P_l within tolerance of 1),
+the remainder is summed in closed form (a geometric series for nu, a
+logarithm for Omega).  Otherwise, as for the slow axes of the anisotropic
+models and of small-kappa isotropic traps, the remainder beyond L is an
+endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature; its
+integrand evaluates log P on Python floats, one loop length at a time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -36,9 +37,13 @@ _ZETA2 = math.pi**2 / 6.0
 # window outside which a nu is considered safely away from a critical value
 CRITICAL_BAND = 1e-6
 
-# longest direct stretch of the loop sums; slow axes beyond it take the
-# Euler-Maclaurin tail
-_DIRECT_CAP = 2 * 10**6
+# longest direct stretch of the loop sums; a trap with an axis that has not
+# relaxed by then takes the Euler-Maclaurin tail from _DIRECT_CAP + 1
+_DIRECT_CAP = 10**4
+
+_LN2 = math.log(2.0)
+# largest v with e^v finite
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 def log1mexp(v):
@@ -49,6 +54,13 @@ def log1mexp(v):
     safe_small = np.where(big, 1.0, v)
     return np.where(big, np.log1p(-np.exp(-safe_big)),
                     np.log(-np.expm1(-safe_small)))
+
+
+def _log1mexp_float(v: float) -> float:
+    """`log1mexp` of one float, with the same two branches."""
+    if v > _LN2:
+        return math.log1p(-math.exp(-v))
+    return math.log(-math.expm1(-v))
 
 
 def bose(v):
@@ -88,20 +100,16 @@ def _axis_rates(beta: float, trap: TrapModel) -> np.ndarray:
     return beta * trap.consts.hbar * axis_omega_kappa(trap)
 
 
-def _split_axes(a: np.ndarray, ln_fac: float, cap: int):
+def _split_axes(a: np.ndarray, ln_fac: float):
     """Choose the direct-summation length L and identify slow axes.
 
-    Fast axes have (1-e^{-a_j l})^{-1} within tolerance of 1 for l > L; the
-    tail beyond L (where slow-axis factors still matter) is handled by the
-    Euler-Maclaurin integral.
+    L is the loop length beyond which every factor (1-e^{-a_j l})^{-1} is
+    within tolerance of 1, capped at _DIRECT_CAP; the axes that need longer
+    are slow, and the remainder beyond L is then the Euler-Maclaurin tail.
     """
     l_req = ln_fac / a
-    slow = l_req > cap
-    if not np.any(slow):
-        return int(math.ceil(float(np.max(l_req)))), np.zeros(len(a), bool)
-    l_fast = float(np.max(l_req[~slow])) if np.any(~slow) else 1.0
-    # a longer direct stretch sharpens the Euler-Maclaurin remainder
-    return int(math.ceil(min(cap, max(l_fast, 1e4)))), slow
+    big_l = int(math.ceil(min(float(np.max(l_req)), _DIRECT_CAP)))
+    return big_l, l_req > big_l
 
 
 class _LoopProduct:
@@ -110,14 +118,17 @@ class _LoopProduct:
 
     `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega) add
     the gap-dependent factor e^{-l w0} and the tail beyond L, so a gap solve
-    builds P_l once for all its trial gaps.
+    builds P_l once for all its trial gaps.  The tail's quadrature calls
+    `_log_p` and `_rate` at one loop length at a time, so they work on the
+    rates as Python floats rather than on a numpy array.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
         self.a = _axis_rates(beta, trap)
+        self._rates = self.a.tolist()
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
-        self.big_l, self.slow = _split_axes(self.a, ln_fac, _DIRECT_CAP)
+        self.big_l, self.slow = _split_axes(self.a, ln_fac)
         self.chunks = []
         for l in _loop_chunks(1, self.big_l):
             # one axis at a time: no (axes x L) temporaries
@@ -127,14 +138,17 @@ class _LoopProduct:
             self.chunks.append((l, log_p))
 
     def _log_p(self, l: float) -> float:
-        """log P(l) at a real loop length l."""
-        return -float(np.sum(log1mexp(np.minimum(self.a * l, 745.0))))
+        """log P(l) at a real loop length l, summed over the axes in order."""
+        total = 0.0
+        for a in self._rates:
+            total += _log1mexp_float(min(a * l, 745.0))
+        return -total
 
     def _rate(self, l: float) -> float:
-        """-d log P/dl = sum_j a_j / (e^{a_j l} - 1)."""
-        with np.errstate(over="ignore"):
-            return float(np.sum(self.a / np.expm1(np.minimum(self.a * l,
-                                                             745.0))))
+        """-d log P/dl = sum_j a_j / (e^{a_j l} - 1); an axis with e^{a_j l}
+        beyond the float range adds less than 1e-308 a_j and is left out."""
+        return sum(a / math.expm1(a * l) for a in self._rates
+                   if a * l < _EXP_MAX)
 
     def _em_tail(self, total: float, log_f, slope: float, w0: float,
                  log_scale: float) -> float:
@@ -196,7 +210,7 @@ class _LoopProduct:
 
         def log_f(l: float) -> float:  # log(P - 1) = log P + log(1 - 1/P)
             log_p = self._log_p(l)
-            return -l * w0 + log_p + float(log1mexp(log_p)) - math.log(l)
+            return -l * w0 + log_p + _log1mexp_float(log_p) - math.log(l)
 
         l1 = self.big_l + 1.0
         slope = w0 + 1.0 / l1 + self._rate(l1) / -math.expm1(-self._log_p(l1))
@@ -294,7 +308,8 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Invert nu(mu) = target.nu for the gap Delta = E0 - mu > 0.
 
-    Bisects on log(Delta) over [1e-300*E0, E0 + 50/beta]; the gap (not mu)
+    Finds the root in log(Delta) over [1e-300*E0, E0 + 50/beta] by Brent's
+    method, from one `_LoopProduct` for all trial gaps; the gap (not mu)
     is the primary unknown because deep in the condensed regimes Delta is
     exponentially small and would be lost entirely to rounding in E0 - mu.
     """

@@ -228,8 +228,7 @@ class TestCriterion8GbecPlateau:
 class TestCriterion9MesoExponent:
     # checks the exponent, not the O(1) prefactor: the slope
     # d log S / d exponent between kappa and a 10% neighbour (see module
-    # docstring).  The neighbour lies away from kappa ~ 0.33-0.36, where one
-    # evaluation sits just under the 2e6 direct-sum cap and takes 3-10 s.
+    # docstring).
     @pytest.mark.parametrize("kappa", [0.4, 0.3, 0.25])
     def test_exponent_match(self, kappa):
         x = np.zeros(3)

@@ -1,7 +1,8 @@
 """The benchmark (`bench/run.py`) checks each CSV row of a run against the
 reference outputs in `bench/reference/` and reports the matching share as
 `ok_frac`.  Run variant 0 of every workload in-process with the same check,
-so that an output change fails the test suite rather than a benchmark run."""
+and every variant of q1d-thermo and q2d-cliff, whose outputs are gap solves
+on the slow-axis tail of the loop-number sum at every kappa, so that an output change fails the test suite rather than a benchmark run."""
 
 import importlib.util
 import json
@@ -18,16 +19,27 @@ if str(_BENCH) not in sys.path:
 _SPEC = importlib.util.spec_from_file_location("bench_run", _BENCH / "run.py")
 run = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(run)
+from workloads import VARIANTS  # noqa: E402 (needs bench/ on sys.path)
+
+
+def _check_variant(name, seed, tmp_path):
+    workload = run.WORKLOADS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run.make_config(workload, seed)),
+                      encoding="utf-8")
+    output = tmp_path / "out.csv"
+    assert main(run.cli_argv(workload, str(config), str(output))) == 0
+    reference = run.reference_path(name, seed).read_text(encoding="utf-8")
+    assert run.rows_ok(output.read_text(encoding="utf-8"), reference) \
+        == len(workload.ladder)
 
 
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_variant0_matches_reference(name, tmp_path):
-    workload = run.WORKLOADS[name]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(run.make_config(workload, 0)),
-                      encoding="utf-8")
-    output = tmp_path / "out.csv"
-    assert main(run.cli_argv(workload, str(config), str(output))) == 0
-    reference = run.reference_path(name, 0).read_text(encoding="utf-8")
-    assert run.rows_ok(output.read_text(encoding="utf-8"), reference) \
-        == len(workload.ladder)
+    _check_variant(name, 0, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(1, VARIANTS))
+@pytest.mark.parametrize("name", ["q1d-thermo", "q2d-cliff"])
+def test_variant_matches_reference(name, seed, tmp_path):
+    _check_variant(name, seed, tmp_path)

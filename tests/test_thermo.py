@@ -79,18 +79,40 @@ class TestLoopNumber:
         assert nu_rescaled(eq) == pytest.approx(brute, rel=1e-9)
 
     def test_slow_axis_tail_continuity(self, monkeypatch):
-        # a lower direct-sum cap moves these traps from the direct stretch
-        # with its geometric tail onto the Euler-Maclaurin tail
-        traps = [Quasi1D(0.35, 1.0), Quasi2D(0.03, 1.0), Isotropic(3, 2e-5)]
-        direct = [thermo._LoopProduct(1.0, t, DEFAULT_CONTROL) for t in traps]
-        monkeypatch.setattr(thermo, "_DIRECT_CAP", 10**5)
-        for trap, ref in zip(traps, direct):
-            em = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-            assert not ref.slow.any() and em.slow.any()
+        # these traps relax within 2*10^6 loops but not within the 10^4 of
+        # the default direct stretch: the Euler-Maclaurin tail from 10^4 + 1
+        # must agree with the long direct stretch and its geometric tail
+        traps = [Quasi1D(0.4, 1.0), Quasi1D(0.35, 1.0), Quasi2D(0.05, 1.0),
+                 Quasi2D(0.03, 1.0), Isotropic(3, 1e-3)]
+        em = [thermo._LoopProduct(1.0, t, DEFAULT_CONTROL) for t in traps]
+        monkeypatch.setattr(thermo, "_DIRECT_CAP", 2 * 10**6)
+        for trap, tail in zip(traps, em):
+            ref = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+            assert not ref.slow.any() and tail.slow.any()
             log_scale = trap.dim * math.log(trap.kappa_abs)
             for gap in (1e-2, 1e-6, 1e-12):
-                assert em.sum(gap, log_scale) == pytest.approx(
+                assert tail.sum(gap, log_scale) == pytest.approx(
                     ref.sum(gap, log_scale), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-9])
+    def test_tail_vs_mode_sum(self, gap):
+        # independent route for traps whose slow axes relax between 10^4 and
+        # 2*10^6 loops: the eigen-mode sum, added exactly.  Modes above
+        # excitation energy 42 carry e^{-42}(42^2/2 + 42 + 1) < 1e-15 of it
+        trap = Quasi1D(0.4, 1.0)
+        a1, ap = trap.kappas[0], trap.kappas[1]
+        rows = [(n + 1.0) * bose(gap + ap * n + a1 * np.arange(
+                    math.ceil((42.0 - ap * n) / a1), dtype=float))
+                for n in range(math.ceil(42.0 / ap))]
+        modes = trap.kappa_abs**3 * math.fsum(np.concatenate(rows).tolist())
+        assert nu_rescaled(_eq(trap, gap)) == pytest.approx(modes, rel=1e-14,
+                                                            abs=0.0)
+        trap = Isotropic(3, 1e-3)
+        n = np.arange(math.ceil(42.0 / trap.kappa), dtype=float)
+        modes = trap.kappa**3 * math.fsum(
+            ((n + 1.0) * (n + 2.0) / 2.0 * bose(gap + trap.kappa * n)).tolist())
+        assert nu_rescaled(_eq(trap, gap)) == pytest.approx(modes, rel=1e-14,
+                                                            abs=0.0)
 
     def test_extreme_axis_separation(self):
         # longitudinal rate ~1e-175: everything must stay finite and solvable
@@ -129,19 +151,41 @@ class TestLoopProduct:
 
     def test_product_built_once_per_solve(self, monkeypatch):
         # P_l is gap-independent: one solve builds it once, one axis at a time
-        trap = Quasi2D(0.05, 1.0)
-        assert not thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
+        trap = Quasi2D(0.1, 1.0)
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        assert not prod.slow.any() and prod.big_l == 5_863
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 2.0), trap)
-        assert sum(sizes) == 3 * 43_453
+        assert sum(sizes) == 3 * 5_863
 
     def test_product_built_once_with_slow_axis(self, monkeypatch):
-        # only the quadrature tail (3-element calls) runs per trial gap
+        # the quadrature tail that runs per trial gap works on floats
         trap = Quasi1D(0.3, 1.0)
         assert thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 4.0), trap)
-        assert sum(n for n in sizes if n > 3) == 3 * 10_000
+        assert sizes == [10_000] * 3
+
+    @pytest.mark.parametrize("trap", [Quasi1D(0.3, 1.0), Quasi2D(0.01, 1.0),
+                                      Isotropic(3, 1e-5)])
+    def test_float_tail_matches_array_form(self, trap):
+        # the tail's float forms of log P and of -d log P/dl against the
+        # numpy forms of the direct stretch, with the same branches and
+        # clamp.  libm and numpy's vectorised exp/log1p/expm1 round
+        # differently for about 1 argument in 1000, so a few points may
+        # differ in the last bits
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        grid = np.logspace(math.log10(1e4 + 1.0), 300.0, 2000)
+        differ = 0
+        for l in grid.tolist():
+            ref = -np.sum(log1mexp(np.minimum(prod.a * l, 745.0)))
+            log_p = prod._log_p(l)
+            differ += log_p != ref
+            assert abs(log_p - ref) <= 2.0 * math.ulp(ref)
+            with np.errstate(over="ignore"):
+                rate = np.sum(prod.a / np.expm1(np.minimum(prod.a * l, 745.0)))
+            assert prod._rate(l) == pytest.approx(rate, rel=1e-15, abs=0.0)
+        assert differ <= len(grid) // 100
 
     def test_tail_quadrature_error_is_reported(self, monkeypatch):
         import scipy.integrate
