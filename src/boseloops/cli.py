@@ -4,7 +4,8 @@ Subcommands: thermo, mu-solve, rdm, profile, loops, aniso-check.  Each reads
 a JSON config (--config), evaluates over the configured kappa ladder or grid
 and writes a ResultTable as CSV ('#'-prefixed metadata lines, header row,
 17-significant-digit floats) or JSON.  Output is deterministic: identical
-configs produce byte-identical files regardless of --threads.
+configs produce byte-identical files.  Rows are computed one after another;
+--threads is still accepted but has no effect.
 
 Exit codes: 0 success, 2 config/domain error, 3 convergence error, 4 IO.
 """
@@ -17,7 +18,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -180,14 +180,7 @@ def _point(cfg: RunConfig, key: str, dim: int) -> np.ndarray:
     return p
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(v) for v in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def cmd_thermo(cfg: RunConfig, threads: int = 1) -> ResultTable:
+def cmd_thermo(cfg: RunConfig) -> ResultTable:
     columns = ["kappa", "mu", "gap", "nu", "occupation0", "gbec_band_sum",
                "nu_c"]
     if cfg.model == "quasi1d":
@@ -212,13 +205,13 @@ def cmd_thermo(cfg: RunConfig, threads: int = 1) -> ResultTable:
             row.append(nu_m(cfg.beta, trap, cfg.ctl))
         return row
 
-    rows = _map_ordered(one, list(cfg.kappas), threads)
+    rows = [one(kappa) for kappa in cfg.kappas]
     meta = _base_metadata(cfg)
     meta["epsilon"] = epsilon
     return ResultTable(columns, rows, meta)
 
 
-def cmd_mu_solve(cfg: RunConfig, threads: int = 1) -> ResultTable:
+def cmd_mu_solve(cfg: RunConfig) -> ResultTable:
     if cfg.nu is None:
         raise DomainError("mu-solve requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
@@ -230,12 +223,12 @@ def cmd_mu_solve(cfg: RunConfig, threads: int = 1) -> ResultTable:
         rel = abs(gap - pred_gap) / abs(pred_gap)
         return [kappa, ground_energy(trap) - gap, gap, pred_gap, rel]
 
-    rows = _map_ordered(one, list(cfg.kappas), threads)
+    rows = [one(kappa) for kappa in cfg.kappas]
     return ResultTable(["kappa", "mu", "gap", "gap_asymptotic", "rel_deviation"],
                        rows, _base_metadata(cfg))
 
 
-def cmd_rdm(cfg: RunConfig, threads: int = 1) -> ResultTable:
+def cmd_rdm(cfg: RunConfig) -> ResultTable:
     if cfg.nu is None:
         raise DomainError("rdm requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
@@ -248,12 +241,12 @@ def cmd_rdm(cfg: RunConfig, threads: int = 1) -> ResultTable:
         return [kappa, rdm_loops(x, y, eq), rdm_rescaled(x, y, eq),
                 noncondensate(x, y, eq)]
 
-    rows = _map_ordered(one, list(cfg.kappas), threads)
+    rows = [one(kappa) for kappa in cfg.kappas]
     return ResultTable(["kappa", "rdm", "rdm_rescaled", "noncondensate"],
                        rows, _base_metadata(cfg))
 
 
-def cmd_profile(cfg: RunConfig, threads: int = 1) -> ResultTable:
+def cmd_profile(cfg: RunConfig) -> ResultTable:
     if cfg.nu is None:
         raise DomainError("profile requires nu in the config")
     if cfg.model != "isotropic":
@@ -282,14 +275,14 @@ def cmd_profile(cfg: RunConfig, threads: int = 1) -> ResultTable:
         dev = abs(val - pred) / abs(pred) if pred != 0.0 else abs(val)
         return [float(r), val, pred, dev]
 
-    rows = _map_ordered(one, list(grid), threads)
+    rows = [one(r) for r in grid]
     meta = _base_metadata(cfg)
     meta.update({"kappa": cfg.kappas[0], "delta": delta,
                  "rescaled": int(rescaled)})
     return ResultTable(["x", "value", "prediction", "rel_deviation"], rows, meta)
 
 
-def cmd_loops(cfg: RunConfig, threads: int = 1) -> ResultTable:
+def cmd_loops(cfg: RunConfig) -> ResultTable:
     if cfg.nu is None:
         raise DomainError("loops requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
@@ -309,14 +302,14 @@ def cmd_loops(cfg: RunConfig, threads: int = 1) -> ResultTable:
                 dec.short_sum, dec.meso_sum, dec.macro_sum, dec.total,
                 scale * dec.macro_sum, pred]
 
-    rows = _map_ordered(one, list(cfg.kappas), threads)
+    rows = [one(kappa) for kappa in cfg.kappas]
     return ResultTable(["kappa", "short_cutoff", "macro_cutoff", "short_sum",
                         "meso_sum", "macro_sum", "total",
                         "macro_rescaled", "condensate_prediction"],
                        rows, _base_metadata(cfg))
 
 
-def cmd_aniso_check(cfg: RunConfig, threads: int = 1) -> ResultTable:
+def cmd_aniso_check(cfg: RunConfig) -> ResultTable:
     if cfg.model == "isotropic":
         raise DomainError("aniso-check requires an anisotropic model")
     if cfg.nu is None:
@@ -342,7 +335,7 @@ def cmd_aniso_check(cfg: RunConfig, threads: int = 1) -> ResultTable:
         return [kappa, regime.tag, regime.eta, add, limit,
                 split.first_half, split.second_half]
 
-    rows = _map_ordered(one, list(cfg.kappas), threads)
+    rows = [one(kappa) for kappa in cfg.kappas]
     if cfg.model == "quasi1d":
         columns = ["kappa", "regime", "eta", "log_meso", "exponent_prediction",
                    "log_prefactor_prediction"]
@@ -374,7 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None,
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="ignored: rows are computed one after another")
     return parser
 
 
@@ -395,7 +389,7 @@ def main(argv=None) -> int:
         cfg = parse_config(doc)
         log.info("running %s over %d kappa value(s)", args.command,
                  len(cfg.kappas))
-        table = _COMMANDS[args.command](cfg, threads=max(1, args.threads))
+        table = _COMMANDS[args.command](cfg)
         text = table.to_csv() if args.format == "csv" else table.to_json()
         if args.output is None:
             sys.stdout.write(text)

@@ -10,9 +10,13 @@ closed form.  Equivalently, the full series equals
 where the noncondensate part sums the dyad-subtracted kernels and converges
 after ~L* terms even arbitrarily close to criticality.  The same engine
 evaluates arbitrary loop-length windows, which is what the short/meso/macro
-decompositions and the anisotropic plateau sums are made of.  Every trapped
-observable takes a `thermo.Equilibrium` and reads its gap, so all windows of
-one (target, trap) share a single solve.
+decompositions and the anisotropic plateau sums are made of.  A window is
+summed like the loop sums of `thermo`: its first `thermo._DIRECT_CAP` loops
+directly, the rest by the Euler-Maclaurin tail `thermo._em_sum`, whose
+quadrature error estimate is checked against rel_tol of the window sum (a
+TruncationWarning when it is not met).  Every trapped observable takes a
+`thermo.Equilibrium` and reads its gap, so all windows of one (target,
+trap) share a single solve.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, _check_points,
                       log_ground_state_product)
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, de_broglie, hermite_eigen_table, polylog)
-from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
-                     _loop_chunks, _nu_critical_trap, bose, log1mexp,
-                     mu_open_trap, nu_critical)
+from . import thermo
+from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium, _em_sum,
+                     _nu_critical_trap, bose, log1mexp, mu_open_trap,
+                     nu_critical)
 
-_DIRECT_CAP = 2_000_000
-_DIRECT_HEAD = 300_000
 _CRAMER = 1.0865
 # guard on the open-trap loop series; its tail bound is met long before it
 _MAX_LOOPS = 10**9
@@ -90,8 +93,10 @@ def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
 
     l_hi may be None (infinite window).  Terms beyond the relaxation length
     L* contribute below rel_tol relative to the macroscopic tail and are
-    dropped; windows too long to enumerate are bridged by adaptive quadrature
-    of the (smooth, analytic in l) summand in log-loop-length.
+    dropped.  The loop sums of `thermo` share the rest: the first
+    `thermo._DIRECT_CAP` loops of the window are summed directly and the
+    remainder by `thermo._em_sum`, which warns (TruncationWarning) when its
+    quadrature error estimate exceeds rel_tol of the window sum.
     """
     if l_lo < 1:
         raise DomainError("loop lengths start at 1")
@@ -110,39 +115,22 @@ def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
     if upper < l_lo:
         return 0.0
 
-    def chunk_sum(a: int, b: int) -> float:
-        total = 0.0
-        for l in _loop_chunks(a, b):
-            dlt = _delta_exponent(l, beta, c, sq_plus, sq_minus, hw)
-            base = -l * w0 + log_dyad
-            # far in the Gaussian tail the dyad underflows while the kernel
-            # itself is fine; switch to the summed-exponent form there
-            big = dlt > 35.0
-            safe = np.where(big, 0.0, dlt)
-            vals = np.where(big, np.exp(base + dlt),
-                            np.exp(base) * np.expm1(safe))
-            total += float(np.sum(vals))
+    def summand(l):
+        dlt = _delta_exponent(l, beta, c, sq_plus, sq_minus, hw)
+        base = -l * w0 + log_dyad
+        # far in the Gaussian tail the dyad underflows while the kernel
+        # itself is fine; switch to the summed-exponent form there
+        big = dlt > 35.0
+        safe = np.where(big, 0.0, dlt)
+        return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
+
+    l_direct = min(upper, l_lo + thermo._DIRECT_CAP - 1)
+    total = float(np.sum(summand(np.arange(l_lo, l_direct + 1, dtype=float))))
+    if upper == l_direct:
         return total
-
-    if upper - l_lo + 1 <= _DIRECT_CAP:
-        return chunk_sum(l_lo, upper)
-
-    head_end = l_lo + _DIRECT_HEAD - 1
-    total = chunk_sum(l_lo, head_end)
-
-    def integrand(v: float) -> float:
-        l = math.exp(v)
-        dlt = float(_delta_exponent(l, beta, c, sq_plus, sq_minus, hw))
-        base = -l * w0 + log_dyad + v
-        if dlt > 35.0:
-            return math.exp(base + dlt)
-        return math.exp(base) * math.expm1(dlt)
-
-    v1 = math.log(head_end + 0.5)
-    v2 = math.log(upper + 0.5)
-    val, _err = integrate.quad(integrand, v1, v2, limit=400,
-                               epsabs=0.0, epsrel=1e-9)
-    return total + val
+    return total + _em_sum(lambda l: float(summand(l)), l_direct + 1.0,
+                           float(upper), (beta * hw).tolist() + [w0],
+                           ctl.rel_tol, total)
 
 
 def _geometric_window(w0: float, l_lo: int, l_hi) -> float:

@@ -11,15 +11,18 @@ P_l = prod_j (1-e^{-a_j l})^{-1} is built once per gap solve, in
 10^4 loops.  When every axis has relaxed by L (P_l within tolerance of 1),
 the remainder is summed in closed form (a geometric series for nu, a
 logarithm for Omega).  Otherwise, as for the slow axes of the anisotropic
-models and of small-kappa isotropic traps, the remainder beyond L is an
-endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature; its
-integrand evaluates log P on Python floats, one loop length at a time.
+models and of small-kappa isotropic traps, the remainder beyond L is
+`_em_sum`: an endpoint Euler-Maclaurin tail whose integral is an adaptive
+quadrature, with its error estimate checked against rel_tol; its integrand
+evaluates log P on Python floats, one loop length at a time.
+
+The loop-length windows of `rdm` are summed the same way: at most
+`_DIRECT_CAP` loops directly, the rest of the window by `_em_sum`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -37,13 +40,12 @@ _ZETA2 = math.pi**2 / 6.0
 # window outside which a nu is considered safely away from a critical value
 CRITICAL_BAND = 1e-6
 
-# longest direct stretch of the loop sums; a trap with an axis that has not
-# relaxed by then takes the Euler-Maclaurin tail from _DIRECT_CAP + 1
+# longest direct stretch of every loop-length sum (nu, Omega and the rdm
+# windows); a trap with an axis that has not relaxed by then, or a longer
+# window, takes the Euler-Maclaurin tail `_em_sum` beyond it
 _DIRECT_CAP = 10**4
 
 _LN2 = math.log(2.0)
-# largest v with e^v finite
-_EXP_MAX = math.log(sys.float_info.max)
 
 
 def log1mexp(v):
@@ -66,12 +68,6 @@ def _log1mexp_float(v: float) -> float:
 def bose(v):
     """Bose factor 1/(e^v - 1) for v > 0."""
     return 1.0 / np.expm1(np.asarray(v, dtype=float))
-
-
-def _loop_chunks(lo: int, hi: int):
-    """Loop lengths lo..hi as float arrays of at most 10^6 elements."""
-    for start in range(lo, hi + 1, 10**6):
-        yield np.arange(start, min(start + 10**6 - 1, hi) + 1, dtype=float)
 
 
 def _iso_degeneracy(n, d: int):
@@ -112,15 +108,45 @@ def _split_axes(a: np.ndarray, ln_fac: float):
     return big_l, l_req > big_l
 
 
+def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
+            total: float) -> float:
+    """sum_{l=l1}^{l2} f(l) by endpoint Euler-Maclaurin: the integral of f
+    (adaptive quadrature in log loop-length, with knots at the scales 1/r of
+    the decay rates r) plus (f(l1)+f(l2))/2 and (f'(l2)-f'(l1))/12, with f'
+    taken by central differences.  l2 <= l1 gives the single term f(l1).
+
+    Warns (TruncationWarning, carrying the estimate) when the quadrature
+    error estimate exceeds rel_tol of |total + the sum|, total being what
+    the caller has already summed.  This is the one tail of the package's
+    loop-length sums: nu and Omega (`_LoopProduct`) and the `rdm` windows.
+    """
+    from scipy import integrate
+
+    if l2 <= l1:
+        return f(l1)
+    v1, v2 = math.log(l1), math.log(l2)
+    knots = sorted({min(max(math.log(1.0 / r), v1), v2)
+                    for r in rates if r > 0.0})
+    val, err = integrate.quad(lambda v: f(math.exp(v)) * math.exp(v),
+                              v1, v2, points=knots, limit=500,
+                              epsabs=1e-300, epsrel=1e-11)
+    d1 = 0.5 * (f(l1 + 1.0) - f(l1 - 1.0))
+    d2 = 0.5 * (f(l2 + 1.0) - f(l2 - 1.0))
+    s = val + 0.5 * (f(l1) + f(l2)) + (d2 - d1) / 12.0
+    if err > rel_tol * abs(total + s):
+        warnings.warn(TruncationWarning(err))
+    return s
+
+
 class _LoopProduct:
     """Gap-independent part of the loop sums for one (beta, trap, ctl): the
-    direct length L, the slow axes and log P_l for l <= L, in chunks of 10^6.
+    direct length L, the slow axes and log P_l for l = 1..L.
 
     `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega) add
     the gap-dependent factor e^{-l w0} and the tail beyond L, so a gap solve
-    builds P_l once for all its trial gaps.  The tail's quadrature calls
-    `_log_p` and `_rate` at one loop length at a time, so they work on the
-    rates as Python floats rather than on a numpy array.
+    builds P_l once for all its trial gaps.  The tail is `_em_sum` up to the
+    loop length where the gap factor has died out; its integrand calls
+    `_log_p` at one loop length at a time, on the rates as Python floats.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
@@ -129,13 +155,11 @@ class _LoopProduct:
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
         self.big_l, self.slow = _split_axes(self.a, ln_fac)
-        self.chunks = []
-        for l in _loop_chunks(1, self.big_l):
-            # one axis at a time: no (axes x L) temporaries
-            log_p = np.zeros_like(l)
-            for a_j in self.a:
-                log_p -= log1mexp(np.minimum(a_j * l, 745.0))
-            self.chunks.append((l, log_p))
+        self.l = np.arange(1, self.big_l + 1, dtype=float)
+        # one axis at a time: no (axes x L) temporaries
+        self.log_p = np.zeros_like(self.l)
+        for a_j in self.a:
+            self.log_p -= log1mexp(np.minimum(a_j * self.l, 745.0))
 
     def _log_p(self, l: float) -> float:
         """log P(l) at a real loop length l, summed over the axes in order."""
@@ -144,66 +168,33 @@ class _LoopProduct:
             total += _log1mexp_float(min(a * l, 745.0))
         return -total
 
-    def _rate(self, l: float) -> float:
-        """-d log P/dl = sum_j a_j / (e^{a_j l} - 1); an axis with e^{a_j l}
-        beyond the float range adds less than 1e-308 a_j and is left out."""
-        return sum(a / math.expm1(a * l) for a in self._rates
-                   if a * l < _EXP_MAX)
-
-    def _em_tail(self, total: float, log_f, slope: float, w0: float,
-                 log_scale: float) -> float:
-        """total + sum_{l>L} f(l), f = e^{log_f(l)}, by endpoint
-        Euler-Maclaurin: exact integral (adaptive quadrature in log
-        loop-length) plus half-term and B2 correction, slope = -f'/f at L+1.
-        Warns (TruncationWarning) when the quadrature error estimate exceeds
-        rel_tol of the result.
-
-        f carries the gap factor e^{log_scale - l w0}, so the integral ends
-        where that factor has died out.  Robust for arbitrarily small axis
-        rates a_j: log_f is a summed-log form and the quadrature is guided by
-        the axis relaxation scales 1/a_j and the gap scale 1/w0.
-        """
-        from scipy import integrate
-
+    def _tail(self, log_f, w0: float, log_scale: float, total: float) -> float:
+        """sum_{l>L} e^{log_f(l)}, ending where the gap factor
+        e^{log_scale - l w0} carried by log_f has died out."""
         def f(l: float) -> float:
             val = log_f(l)
             return math.exp(val) if val > -745.0 else 0.0
 
-        l1 = self.big_l + 1.0
         l_max = min(1e306, (2000.0 + abs(log_scale)) / w0)
-        if l_max <= l1:
-            return total + f(l1)  # tail already extinguished by the gap
-        v1, v2 = math.log(l1), math.log(l_max)
-        knots = sorted({min(max(math.log(1.0 / r), v1), v2)
-                        for r in list(self.a) + [w0] if r > 0.0})
-        val, err = integrate.quad(lambda v: f(math.exp(v)) * math.exp(v),
-                                  v1, v2, points=knots, limit=500,
-                                  epsabs=1e-300, epsrel=1e-11)
-        f1 = f(l1)
-        total += val + 0.5 * f1 + slope * f1 / 12.0
-        if err > self.rel_tol * total:
-            warnings.warn(TruncationWarning(err))
-        return total
+        return _em_sum(f, self.big_l + 1.0, l_max, self._rates + [w0],
+                       self.rel_tol, total)
 
     def sum(self, w0: float, log_scale: float) -> float:
         """e^{log_scale} sum_{l>=1} e^{-l w0} P_l."""
-        total = 0.0
-        for l, log_p in self.chunks:
-            total += float(np.sum(np.exp(log_scale - l * w0 + log_p)))
+        total = float(np.sum(np.exp(log_scale - self.l * w0 + self.log_p)))
         if not np.any(self.slow):
             return total + math.exp(log_scale - (self.big_l + 1) * w0) \
                 / (-math.expm1(-w0))
-        return self._em_tail(
-            total, lambda l: log_scale - l * w0 + self._log_p(l),
-            w0 + self._rate(self.big_l + 1.0), w0, log_scale)
+        return total + self._tail(
+            lambda l: log_scale - l * w0 + self._log_p(l), w0, log_scale,
+            total)
 
     def log_partition(self, w0: float) -> float:
         """sum_{l>=1} e^{-l w0} P_l / l: the P_l = 1 part exactly as
         -log(1 - e^{-w0}), the P_l - 1 part over l <= L and, with slow axes,
         the tail (with fast axes only, P_l - 1 < rel_tol / 2 beyond L)."""
-        total = 0.0
-        for l, log_p in self.chunks:
-            total += float(np.sum(np.exp(-l * w0) * np.expm1(log_p) / l))
+        l = self.l
+        total = float(np.sum(np.exp(-l * w0) * np.expm1(self.log_p) / l))
         total += -float(log1mexp(w0))
         if not np.any(self.slow):
             return total
@@ -212,9 +203,7 @@ class _LoopProduct:
             log_p = self._log_p(l)
             return -l * w0 + log_p + _log1mexp_float(log_p) - math.log(l)
 
-        l1 = self.big_l + 1.0
-        slope = w0 + 1.0 / l1 + self._rate(l1) / -math.expm1(-self._log_p(l1))
-        return self._em_tail(total, log_f, slope, w0, 0.0)
+        return total + self._tail(log_f, w0, 0.0, total)
 
 
 def nu_rescaled(eq: Equilibrium) -> float:

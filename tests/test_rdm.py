@@ -103,6 +103,51 @@ class TestLoopDecomposition:
         parts = _noncond_range_sum(x, x, eq, 1, 99) \
             + _noncond_range_sum(x, x, eq, 100, 500)
         assert whole == pytest.approx(parts, rel=1e-12)
+        # windows that cross the end of the direct stretch at 10^4 loops
+        eq = _eq(Isotropic(3, 1e-4), 2.4)
+        whole = _noncond_range_sum(x, x, eq, 1, 50_000)
+        parts = _noncond_range_sum(x, x, eq, 1, 20_000) \
+            + _noncond_range_sum(x, x, eq, 20_001, 50_000)
+        assert whole == pytest.approx(parts, rel=1e-12)
+
+    @pytest.mark.parametrize("trap,nu,l_lo,l_hi", [
+        (Isotropic(3, 1e-5), 2.4, 1, 1_778_279),
+        (Isotropic(3, 1e-5), 2.4, 1_778_280, 2_000_000),
+        (Quasi2D(0.01, 1.0), 2.0, 317, 2_000_000)])
+    def test_long_window_matches_direct_sum(self, monkeypatch, trap, nu,
+                                            l_lo, l_hi):
+        # independent route for the Euler-Maclaurin tail of a window: the
+        # direct sum over every loop of it, with the direct stretch raised
+        from boseloops import thermo
+        from boseloops.rdm import _noncond_range_sum
+        eq = _eq(trap, nu)
+        points = [(np.zeros(3), np.zeros(3)),
+                  (np.array([1.0, 0.5, 0.0]), np.zeros(3))]
+        tail = [_noncond_range_sum(x, y, eq, l_lo, l_hi) for x, y in points]
+        monkeypatch.setattr(thermo, "_DIRECT_CAP", 2 * 10**6)
+        for (x, y), val in zip(points, tail):
+            assert val == pytest.approx(
+                _noncond_range_sum(x, y, eq, l_lo, l_hi), rel=1e-12, abs=0.0)
+
+    def test_window_quadrature_error_is_reported(self, monkeypatch):
+        # the window tail warns with its quadrature error estimate when that
+        # exceeds rel_tol of the window sum
+        import scipy.integrate
+
+        eq = Equilibrium(1.0, Isotropic(3, 1e-5), SeriesControl(), 1e-7)
+        x = np.array([1.0, 0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            ref = noncondensate(x, x, eq)
+        real = scipy.integrate.quad
+
+        def sloppy(*args, **kwargs):
+            val, _err = real(*args, **kwargs)
+            return val, 1e-3 * ref
+        monkeypatch.setattr(scipy.integrate, "quad", sloppy)
+        with pytest.warns(TruncationWarning) as record:
+            assert noncondensate(x, x, eq) == ref
+        assert record[0].message.args == (1e-3 * ref,)
 
     def test_isotropic_sigma_window(self):
         trap = Isotropic(3, 0.2)
