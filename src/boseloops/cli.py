@@ -94,6 +94,10 @@ class ResultTable:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# command-specific config keys, read by the subcommands from RunConfig.extra
+_EXTRA_KEYS = {"x", "y", "epsilon", "grid", "delta", "rescaled"}
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
@@ -148,6 +152,9 @@ def parse_config(doc: dict) -> RunConfig:
     known = {"model", "kappa", "kappa_ladder", "beta", "nu", "mu", "d",
              "kappa_c", "omega1", "omega_perp", "units", "series"}
     extra = {k: v for k, v in doc.items() if k not in known}
+    unknown = sorted(set(extra) - _EXTRA_KEYS)
+    if unknown:
+        raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
     return RunConfig(model=model, kappas=kappas, beta=beta, nu=nu, mu=mu,
                      d=int(doc.get("d", 3)), kappa_c=float(doc.get("kappa_c", 1.0)),
                      omega1=float(doc.get("omega1", 1.0)),

@@ -10,10 +10,11 @@ closed form.  Equivalently, the full series equals
 where the noncondensate part sums the dyad-subtracted kernels and converges
 after ~L* terms even arbitrarily close to criticality.  The same engine
 evaluates arbitrary loop-length windows, which is what the short/meso/macro
-decompositions and the anisotropic plateau sums are made of.  A window is
-summed like the loop sums of `thermo`: its first `thermo._DIRECT_CAP` loops
-directly, the rest by the Euler-Maclaurin tail `thermo._em_sum`, whose
-quadrature error estimate is checked against rel_tol of the window sum (a
+decompositions and the anisotropic plateau sums are made of.  A window,
+like the open-trap (kappa -> 0) series, is summed by the package's one
+loop-series engine `specfun._series`: its first `specfun._DIRECT_CAP` loops
+directly, the rest by the Euler-Maclaurin tail `specfun._em_sum`, whose
+quadrature error estimate is checked against rel_tol of the sum (a
 TruncationWarning when it is not met).  Every trapped observable takes a
 `thermo.Equilibrium` and reads its gap, so all windows of one (target,
 trap) share a single solve.
@@ -28,21 +29,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import (ConvergenceError, DomainError, ModelError, OriginError,
-                     RegimeError, TruncationWarning)
+from . import specfun
+from .errors import (DomainError, ModelError, OriginError, RegimeError,
+                     TruncationWarning)
 from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, _check_points,
                       axis_omega_kappa, ground_state_product,
                       log_ground_state_product)
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
-                      SeriesControl, de_broglie, hermite_eigen_table, polylog)
-from . import thermo
-from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium, _em_sum,
+                      SeriesControl, _geometric_series, _series, de_broglie,
+                      hermite_eigen_table, polylog)
+from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
                      _nu_critical_trap, bose, log1mexp, mu_open_trap,
                      nu_critical)
 
 _CRAMER = 1.0865
-# guard on the open-trap loop series; its tail bound is met long before it
-_MAX_LOOPS = 10**9
 
 
 def _axis_geometry(x, y, trap: TrapModel):
@@ -93,10 +93,9 @@ def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
 
     l_hi may be None (infinite window).  Terms beyond the relaxation length
     L* contribute below rel_tol relative to the macroscopic tail and are
-    dropped.  The loop sums of `thermo` share the rest: the first
-    `thermo._DIRECT_CAP` loops of the window are summed directly and the
-    remainder by `thermo._em_sum`, which warns (TruncationWarning) when its
-    quadrature error estimate exceeds rel_tol of the window sum.
+    dropped.  The rest is summed by `specfun._series`, which warns
+    (TruncationWarning) when its quadrature error estimate exceeds rel_tol
+    of the window sum.
     """
     if l_lo < 1:
         raise DomainError("loop lengths start at 1")
@@ -124,13 +123,8 @@ def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
         safe = np.where(big, 0.0, dlt)
         return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
 
-    l_direct = min(upper, l_lo + thermo._DIRECT_CAP - 1)
-    total = float(np.sum(summand(np.arange(l_lo, l_direct + 1, dtype=float))))
-    if upper == l_direct:
-        return total
-    return total + _em_sum(lambda l: float(summand(l)), l_direct + 1.0,
-                           float(upper), (beta * hw).tolist() + [w0],
-                           ctl.rel_tol, total)
+    return _series(summand, l_lo, upper, (beta * hw).tolist() + [w0],
+                   ctl.rel_tol)
 
 
 def _geometric_window(w0: float, l_lo: int, l_hi) -> float:
@@ -311,33 +305,25 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
         z = math.exp(beta * mu_open_trap(beta, nu, 1, consts, ctl=ctl))
 
     half = 0.5 * d
-    total = 0.0
-    n = 0
-    chunk = 8192
-    log_z = math.log(z) if z < 1.0 else 0.0
-    while n < _MAX_LOOPS:
-        l = np.arange(n + 1, n + chunk + 1, dtype=float)
-        total += float(np.sum(np.exp(l * log_z - q / l) / l**half))
-        n += chunk
-        if z < 1.0:
-            bound = math.exp((n + 1) * log_z) / ((n + 1) ** half * (1.0 - z))
-            if bound < ctl.abs_tol:
-                break
-        else:
-            # z = 1 (d=3 at nu_c): Euler-Maclaurin tail via the closed-form
-            # integral int_N^inf l^{-3/2} e^{-q/l} dl
-            if n >= 200_000:
-                n_half = n + 0.5
-                if q > 0.0:
-                    from scipy.special import erf
-                    tail = math.sqrt(math.pi / q) * erf(math.sqrt(q / n_half))
-                else:
-                    tail = 2.0 / math.sqrt(n_half)
-                total += tail
-                break
-        chunk = min(2 * chunk, 2 * 10**6)
+    alpha = -math.log(z)
+
+    def summand(l):
+        return np.exp(-alpha * l - q / l - half * np.log(l))
+
+    if z < 1.0:
+        total = _geometric_series(summand, alpha, ctl)
     else:
-        raise ConvergenceError("open-trap series did not converge")
+        # z = 1 (d=3 at nu_c): the direct stretch, then the midpoint-rule
+        # tail: the closed form of int_m^inf l^{-3/2} e^{-q/l} dl, m = N + 1/2,
+        # plus f'(m)/24; the next term is O(N^{-9/2})
+        m = specfun._DIRECT_CAP + 0.5
+        total = _series(summand, 1, specfun._DIRECT_CAP, [], ctl.rel_tol)
+        if q > 0.0:
+            from scipy.special import erf
+            total += math.sqrt(math.pi / q) * erf(math.sqrt(q / m))
+        else:
+            total += 2.0 / math.sqrt(m)
+        total += float(summand(m)) * (q / m - half) / m / 24.0
     return total / lam**d
 
 
@@ -464,18 +450,14 @@ class BarometricRadii:
     printed_form_consistent: bool
 
 
-def barometric_radii(target: CanonicalTarget, trap: TrapModel, d: int | None = None,
+def barometric_radii(target: CanonicalTarget, trap: TrapModel,
                      ctl: SeriesControl = DEFAULT_CONTROL) -> BarometricRadii:
     """<x_j^2> of the two supercritical open-trap profiles by quadrature.
 
     Thermal profile: g_{d/2}(e^{-beta V(r)}); condensate profile:
     e^{-m omega0 r^2 / hbar}.  Requires d in {2,3} and nu > nu_c.
     """
-    consts = trap.consts
-    if d is None:
-        d = trap.dim
-    if d != trap.dim:
-        raise DomainError("d must match the trap dimension")
+    consts, d = trap.consts, trap.dim
     if d not in (2, 3):
         raise DomainError("barometric radii require d in {2, 3}")
     beta, nu = target.beta, target.nu

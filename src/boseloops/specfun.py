@@ -1,23 +1,32 @@
 """Special functions: polylogarithm, incomplete gamma, thermal wavelength,
-normalized Hermite eigenfunctions.
+normalized Hermite eigenfunctions, and the package's one loop-series engine.
 
 All routines are pure and operate in 64-bit floating point.  Infinite sums
 are truncated with certified tail bounds controlled by `SeriesControl`.
+
+Every loop-length sum of the package (the polylogarithm for xi < 1, the loop
+sums of `thermo`, the windows of `rdm` and the open-trap rdm) is summed by
+`_series`: at most `_DIRECT_CAP` terms directly, the rest by `_em_sum`, an
+endpoint Euler-Maclaurin tail whose quadrature error estimate is checked
+against rel_tol (a TruncationWarning when it is not met).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError, TruncationWarning
 
 _EULER_GAMMA = 0.5772156649015328606
 
-# guard on the direct polylog series; the tail bound is met long before it
-_MAX_TERMS = 10**7
+# longest direct stretch of every loop-length sum (polylog, nu, Omega, the
+# rdm windows and the open-trap rdm); a longer sum, or a trap with an axis
+# that has not relaxed by then, takes the Euler-Maclaurin tail `_em_sum`
+_DIRECT_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -76,35 +85,67 @@ def _zeta_em(theta: float, abs_tol: float) -> float:
     return partial + tail
 
 
-def _polylog_em(theta: float, alpha: float, abs_tol: float) -> float:
-    """g_theta(e^-alpha) for theta > 1 and small alpha > 0, where the direct
-    series converges too slowly for a certified geometric cutoff.
+def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
+            total: float) -> float:
+    """sum_{l=l1}^{l2} f(l) by endpoint Euler-Maclaurin: the integral of f
+    (adaptive quadrature in log loop-length, with knots at the scales 1/r of
+    the decay rates r) plus (f(l1)+f(l2))/2 and (f'(l2)-f'(l1))/12, with f'
+    taken by central differences.  l2 <= l1 gives the single term f(l1).
 
-    Euler-Maclaurin: partial sum to N plus the exact tail integral
-    int_N^inf e^{-alpha l} l^-theta dl (adaptive quadrature), the half-term
-    and the B2 correction; the remainder is O(N^-theta-3) and well below
-    abs_tol for the N used here.
+    Warns (TruncationWarning, carrying the estimate) when the quadrature
+    error estimate exceeds rel_tol of |total + the sum|, total being what
+    the caller has already summed.  This is the one tail of the package's
+    loop-length sums: `_series` and `thermo._LoopProduct`.
     """
     from scipy import integrate
 
-    n = 4096
-    k = np.arange(1, n + 1, dtype=float)
-    partial = float(np.sum(np.exp(-alpha * k) / k**theta))
-    tail, _ = integrate.quad(lambda l: math.exp(-alpha * l) * l ** (-theta),
-                             n, np.inf, limit=200, epsabs=0.1 * abs_tol,
-                             epsrel=1e-12)
-    f_n = math.exp(-alpha * n) / n**theta
-    fp_n = -f_n * (alpha + theta / n)
-    return partial + tail - 0.5 * f_n - fp_n / 12.0
+    if l2 <= l1:
+        return f(l1)
+    v1, v2 = math.log(l1), math.log(l2)
+    knots = sorted({min(max(math.log(1.0 / r), v1), v2)
+                    for r in rates if r > 0.0})
+    val, err = integrate.quad(lambda v: f(math.exp(v)) * math.exp(v),
+                              v1, v2, points=knots, limit=500,
+                              epsabs=1e-300, epsrel=1e-11)
+    d1 = 0.5 * (f(l1 + 1.0) - f(l1 - 1.0))
+    d2 = 0.5 * (f(l2 + 1.0) - f(l2 - 1.0))
+    s = val + 0.5 * (f(l1) + f(l2)) + (d2 - d1) / 12.0
+    if err > rel_tol * abs(total + s):
+        warnings.warn(TruncationWarning(err))
+    return s
+
+
+def _series(f, l1: int, l2: int, rates, rel_tol: float) -> float:
+    """sum_{l=l1}^{l2} f(l) for a vectorised summand f: the first
+    `_DIRECT_CAP` terms directly, the rest by `_em_sum` (rates and rel_tol
+    as there).  l2 < l1 gives 0."""
+    l_direct = min(l2, l1 + _DIRECT_CAP - 1)
+    total = float(np.sum(f(np.arange(l1, l_direct + 1, dtype=float))))
+    if l2 == l_direct:
+        return total
+    return total + _em_sum(lambda l: float(f(l)), l_direct + 1.0, float(l2),
+                           rates, rel_tol, total)
+
+
+def _geometric_series(f, alpha: float, ctl: SeriesControl) -> float:
+    """sum_{l>=1} f(l) for a positive vectorised summand with
+    f(l) <= e^{-alpha l}, by `_series` up to the first length n at which the
+    geometric tail bound e^{-alpha(n+1)}/(1-e^{-alpha}) falls below
+    ctl.abs_tol and below one ulp of f(1), a lower bound of the sum: the
+    truncation then stays below the rounding of the sum however small the
+    sum is."""
+    log_tol = math.log(min(ctl.abs_tol, math.ulp(float(f(1.0)))))
+    n = math.ceil((log_tol + math.log(-math.expm1(-alpha))) / -alpha)
+    return _series(f, 1, n, [alpha], ctl.rel_tol)
 
 
 def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Polylogarithm g_theta(xi) = sum_{n>=1} xi^n / n^theta for real
     0 <= xi <= 1, with absolute error below ctl.abs_tol.
 
-    xi = 1 requires theta > 1 (otherwise the series diverges).  For xi < 1 the
-    tail beyond N is certified by the smaller of the geometric bound
-    term*xi/(1-xi) and the zeta-integral bound xi^(N+1) * N^(1-theta)/(theta-1).
+    xi = 1 requires theta > 1 (otherwise the series diverges).  For xi < 1
+    the series stops where its geometric tail bound xi^(n+1)/(1-xi) is below
+    ctl.abs_tol (`_geometric_series`).
     """
     if theta <= 0:
         raise DomainError("polylog order must be positive")
@@ -118,26 +159,9 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
         return _zeta_em(theta, ctl.abs_tol)
     if theta == 1.0:
         return -math.log1p(-xi)
-    if theta > 1.0 and xi > math.exp(-0.01):
-        return _polylog_em(theta, -math.log(xi), ctl.abs_tol)
-
-    total = 0.0
-    n = 0
-    chunk = 4096
-    log_xi = math.log(xi)
-    while n < _MAX_TERMS:
-        m = np.arange(n + 1, min(n + chunk, _MAX_TERMS) + 1, dtype=float)
-        total += float(np.sum(np.exp(m * log_xi) / m ** theta))
-        n = int(m[-1])
-        next_term = math.exp((n + 1) * log_xi) / (n + 1) ** theta
-        tail = next_term * xi / (1.0 - xi) if xi < 1.0 else math.inf
-        if theta > 1.0:
-            tail = min(tail, math.exp((n + 1) * log_xi) * n ** (1.0 - theta) / (theta - 1.0))
-        if tail < ctl.abs_tol:
-            return total
-        chunk = min(2 * chunk, 2 * 10**6)
-    raise ConvergenceError(
-        f"polylog({theta}, {xi}): tail bound not met within {_MAX_TERMS} terms")
+    alpha = -math.log(xi)
+    return _geometric_series(lambda l: np.exp(-alpha * l - theta * np.log(l)),
+                             alpha, ctl)
 
 
 def gamma0(x: float) -> float:

@@ -8,42 +8,34 @@ condensation the gap Delta = E0 - mu becomes tiny and naive truncation would
 need ~1/(beta*Delta) terms.  The gap-independent product
 P_l = prod_j (1-e^{-a_j l})^{-1} is built once per gap solve, in
 `_LoopProduct`, for both series, over one direct stretch l <= L of at most
-10^4 loops.  When every axis has relaxed by L (P_l within tolerance of 1),
-the remainder is summed in closed form (a geometric series for nu, a
-logarithm for Omega).  Otherwise, as for the slow axes of the anisotropic
-models and of small-kappa isotropic traps, the remainder beyond L is
-`_em_sum`: an endpoint Euler-Maclaurin tail whose integral is an adaptive
-quadrature, with its error estimate checked against rel_tol; its integrand
-evaluates log P on Python floats, one loop length at a time.
-
-The loop-length windows of `rdm` are summed the same way: at most
-`_DIRECT_CAP` loops directly, the rest of the window by `_em_sum`.
+`specfun._DIRECT_CAP` = 10^4 loops.  When every axis has relaxed by L (P_l
+within tolerance of 1), the remainder is summed in closed form (a geometric
+series for nu, a logarithm for Omega).  Otherwise, as for the slow axes of
+the anisotropic models and of small-kappa isotropic traps, the remainder
+beyond L is the package's one loop-series tail `specfun._em_sum`: an
+endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature, with
+its error estimate checked against rel_tol; its integrand evaluates log P on
+Python floats, one loop length at a time.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (BracketError, DomainError, ModelError, RegimeError,
-                     TruncationWarning)
+from . import specfun
+from .errors import BracketError, DomainError, ModelError, RegimeError
 from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
                       eigenvalue, ground_energy)
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
-                      polylog)
+                      _em_sum, polylog)
 
 _ZETA2 = math.pi**2 / 6.0
 
 # window outside which a nu is considered safely away from a critical value
 CRITICAL_BAND = 1e-6
-
-# longest direct stretch of every loop-length sum (nu, Omega and the rdm
-# windows); a trap with an axis that has not relaxed by then, or a longer
-# window, takes the Euler-Maclaurin tail `_em_sum` beyond it
-_DIRECT_CAP = 10**4
 
 _LN2 = math.log(2.0)
 
@@ -100,42 +92,13 @@ def _split_axes(a: np.ndarray, ln_fac: float):
     """Choose the direct-summation length L and identify slow axes.
 
     L is the loop length beyond which every factor (1-e^{-a_j l})^{-1} is
-    within tolerance of 1, capped at _DIRECT_CAP; the axes that need longer
-    are slow, and the remainder beyond L is then the Euler-Maclaurin tail.
+    within tolerance of 1, capped at `specfun._DIRECT_CAP`; the axes that
+    need longer are slow, and the remainder beyond L is then the
+    Euler-Maclaurin tail.
     """
     l_req = ln_fac / a
-    big_l = int(math.ceil(min(float(np.max(l_req)), _DIRECT_CAP)))
+    big_l = int(math.ceil(min(float(np.max(l_req)), specfun._DIRECT_CAP)))
     return big_l, l_req > big_l
-
-
-def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
-            total: float) -> float:
-    """sum_{l=l1}^{l2} f(l) by endpoint Euler-Maclaurin: the integral of f
-    (adaptive quadrature in log loop-length, with knots at the scales 1/r of
-    the decay rates r) plus (f(l1)+f(l2))/2 and (f'(l2)-f'(l1))/12, with f'
-    taken by central differences.  l2 <= l1 gives the single term f(l1).
-
-    Warns (TruncationWarning, carrying the estimate) when the quadrature
-    error estimate exceeds rel_tol of |total + the sum|, total being what
-    the caller has already summed.  This is the one tail of the package's
-    loop-length sums: nu and Omega (`_LoopProduct`) and the `rdm` windows.
-    """
-    from scipy import integrate
-
-    if l2 <= l1:
-        return f(l1)
-    v1, v2 = math.log(l1), math.log(l2)
-    knots = sorted({min(max(math.log(1.0 / r), v1), v2)
-                    for r in rates if r > 0.0})
-    val, err = integrate.quad(lambda v: f(math.exp(v)) * math.exp(v),
-                              v1, v2, points=knots, limit=500,
-                              epsabs=1e-300, epsrel=1e-11)
-    d1 = 0.5 * (f(l1 + 1.0) - f(l1 - 1.0))
-    d2 = 0.5 * (f(l2 + 1.0) - f(l2 - 1.0))
-    s = val + 0.5 * (f(l1) + f(l2)) + (d2 - d1) / 12.0
-    if err > rel_tol * abs(total + s):
-        warnings.warn(TruncationWarning(err))
-    return s
 
 
 class _LoopProduct:

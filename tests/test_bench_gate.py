@@ -2,11 +2,14 @@
 reference outputs in `bench/reference/` and reports the matching share as
 `ok_frac`.  Run every variant of every workload in-process with the same
 check, so that an output change fails the test suite rather than a benchmark
-run."""
+run.  The traced run (`--trace 1`) is run the same way, in its own
+interpreter, so that a traced name that no longer resolves, a span that
+records no calls or a crash of `bench/child.py` fails the test suite too."""
 
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,18 @@ def test_variant0_matches_reference(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(run.WORKLOADS))
 def test_variant_matches_reference(name, seed, tmp_path):
     _check_variant(name, seed, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_traced_child(name, tmp_path):
+    workload = run.WORKLOADS[name]
+    runner = run.Runner(tmp_path, workload, time.monotonic() + 120.0)
+    runner.config.write_text(json.dumps(run.make_config(workload, 0)),
+                             encoding="utf-8")
+    res, output = runner.child("trace")
+    assert res is not None and res["rc"] == 0
+    reference = run.reference_path(name, 0).read_text(encoding="utf-8")
+    assert run.rows_ok(output, reference) == len(workload.ladder)
+    idle = [s for s in workload.expect_spans
+            if res["trace"][f"{s}.calls"] == 0]
+    assert idle == []

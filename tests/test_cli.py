@@ -95,6 +95,14 @@ class TestParseConfig:
         assert code == 2
         assert "max_terms" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
+        # a misspelt key must not run silently with the default value
+        with pytest.raises(DomainError, match="kapa_c"):
+            parse_config({"kappa": 0.3, "nu": 1.0, "kapa_c": 2.0})
+        code, _ = _run(tmp_path, "thermo", dict(THERMO_DOC, epsilom=0.1))
+        assert code == 2
+        assert "epsilom" in capsys.readouterr().err
+
     def test_extra_passthrough(self):
         cfg = parse_config({"kappa": 0.3, "nu": 1.0, "x": [0.1, 0.0, 0.0]})
         assert cfg.extra == {"x": [0.1, 0.0, 0.0]}

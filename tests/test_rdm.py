@@ -118,13 +118,13 @@ class TestLoopDecomposition:
                                             l_lo, l_hi):
         # independent route for the Euler-Maclaurin tail of a window: the
         # direct sum over every loop of it, with the direct stretch raised
-        from boseloops import thermo
+        from boseloops import specfun
         from boseloops.rdm import _noncond_range_sum
         eq = _eq(trap, nu)
         points = [(np.zeros(3), np.zeros(3)),
                   (np.array([1.0, 0.5, 0.0]), np.zeros(3))]
         tail = [_noncond_range_sum(x, y, eq, l_lo, l_hi) for x, y in points]
-        monkeypatch.setattr(thermo, "_DIRECT_CAP", 2 * 10**6)
+        monkeypatch.setattr(specfun, "_DIRECT_CAP", 2 * 10**6)
         for (x, y), val in zip(points, tail):
             assert val == pytest.approx(
                 _noncond_range_sum(x, y, eq, l_lo, l_hi), rel=1e-12, abs=0.0)
@@ -179,6 +179,51 @@ class TestOpenTrapLimit:
             x = np.zeros(d)
             assert open_trap_rdm(x, x, 1.0, nu, d) == pytest.approx(
                 ref, rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [16.0, 20.0])
+    def test_d1_near_zero_mu_vs_mpmath(self, nu):
+        # mu0 ~ -e^{-nu}: the series needs ~10^8 (nu=16) and ~10^10 (nu=20)
+        # loops, nearly all of them in the Euler-Maclaurin tail
+        import mpmath
+        from boseloops.thermo import mu_open_trap
+        z = math.exp(mu_open_trap(1.0, nu, 1))
+        with mpmath.workdps(30):
+            ref = float(mpmath.polylog(0.5, mpmath.mpf(z))) / de_broglie(1.0)
+        assert open_trap_rdm(np.zeros(1), np.zeros(1), 1.0, nu, 1) \
+            == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_d3_critical_point_tail(self, monkeypatch):
+        # at nu_c the closed-form tail follows 10^4 direct loops; it must
+        # agree with zeta(3/2) on the diagonal and, off it, with a direct
+        # stretch of 10^6 loops
+        from boseloops import specfun
+        lam = de_broglie(1.0)
+        y = np.array([3.0, 0.0, 0.0])
+        diag = open_trap_rdm(np.zeros(3), np.zeros(3), 1.0, ZETA_3, 3)
+        off = open_trap_rdm(np.zeros(3), y, 1.0, ZETA_3, 3)
+        assert diag == pytest.approx(2.6123753486854883433 / lam**3,
+                                     rel=1e-14, abs=0.0)
+        monkeypatch.setattr(specfun, "_DIRECT_CAP", 10**6)
+        assert off == pytest.approx(open_trap_rdm(np.zeros(3), y, 1.0,
+                                                  ZETA_3, 3),
+                                    rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("d,nu", [(2, 1.6), (3, 1.2)])
+    def test_far_offdiagonal_vs_direct_sum(self, d, nu):
+        # |x-y| = 300: the terms peak thousands of loops out and the sum is
+        # far below abs_tol, yet it must hold its own digits; the direct sum
+        # over every loop up to 10^6 (e^{-alpha l} < 1e-500 there) is the
+        # independent route
+        from boseloops.thermo import mu_open_trap
+        lam = de_broglie(1.0)
+        y = np.zeros(d)
+        y[0] = 300.0
+        alpha = -mu_open_trap(1.0, nu, d)
+        q = math.pi * 300.0**2 / lam**2
+        l = np.arange(1, 10**6 + 1, dtype=float)
+        ref = float(np.sum(np.exp(-alpha * l - q / l - 0.5 * d * np.log(l))))
+        assert open_trap_rdm(np.zeros(d), y, 1.0, nu, d) == pytest.approx(
+            ref / lam**d, rel=1e-12, abs=0.0)
 
     def test_offdiagonal_decay(self):
         x = np.zeros(3)

@@ -1,12 +1,14 @@
 """Special-function oracles: frozen reference values and dual-route checks."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from boseloops.errors import DomainError
+from boseloops.errors import DomainError, TruncationWarning
 from boseloops.specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL,
                                PhysicalConstants, SeriesControl, de_broglie,
                                gamma0, hermite_eigen_table,
@@ -59,6 +61,34 @@ class TestPolylog:
                 ref = val / special.gamma(theta)
                 assert polylog(theta, math.exp(-alpha)) == pytest.approx(
                     ref, rel=1e-8)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.5, 2.5, 3.0])
+    def test_near_one_vs_mpmath(self, theta):
+        # alpha = 3.3e-3 is where the series first outgrows the direct
+        # stretch; the smallest alphas need ~10^13 terms
+        with mpmath.workdps(40):
+            for alpha in (1e-2, 3.3e-3, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
+                xi = math.exp(-alpha)
+                ref = float(mpmath.polylog(theta, mpmath.mpf(xi)))
+                assert polylog(theta, xi) == pytest.approx(ref, rel=1e-13,
+                                                           abs=0.0)
+
+    def test_tail_quadrature_error_is_reported(self, monkeypatch):
+        # the Euler-Maclaurin tail warns with its quadrature error estimate
+        # when that exceeds rel_tol of the sum
+        xi = math.exp(-1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            ref = polylog(1.5, xi)
+        real = integrate.quad
+
+        def sloppy(*args, **kwargs):
+            val, _err = real(*args, **kwargs)
+            return val, 1e-3 * ref
+        monkeypatch.setattr(integrate, "quad", sloppy)
+        with pytest.warns(TruncationWarning) as record:
+            assert polylog(1.5, xi) == ref
+        assert record[0].message.args == (1e-3 * ref,)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

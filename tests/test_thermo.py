@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from boseloops import thermo
+from boseloops import specfun, thermo
 from boseloops.errors import (BracketError, DomainError, ModelError,
                               RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
@@ -85,7 +85,7 @@ class TestLoopNumber:
         traps = [Quasi1D(0.4, 1.0), Quasi1D(0.35, 1.0), Quasi2D(0.05, 1.0),
                  Quasi2D(0.03, 1.0), Isotropic(3, 1e-3)]
         em = [thermo._LoopProduct(1.0, t, DEFAULT_CONTROL) for t in traps]
-        monkeypatch.setattr(thermo, "_DIRECT_CAP", 2 * 10**6)
+        monkeypatch.setattr(specfun, "_DIRECT_CAP", 2 * 10**6)
         for trap, tail in zip(traps, em):
             ref = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
             assert not ref.slow.any() and tail.slow.any()
