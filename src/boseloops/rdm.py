@@ -319,8 +319,7 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
         m = specfun._DIRECT_CAP + 0.5
         total = _series(summand, 1, specfun._DIRECT_CAP, [], ctl.rel_tol)
         if q > 0.0:
-            from scipy.special import erf
-            total += math.sqrt(math.pi / q) * erf(math.sqrt(q / m))
+            total += math.sqrt(math.pi / q) * math.erf(math.sqrt(q / m))
         else:
             total += 2.0 / math.sqrt(m)
         total += float(summand(m)) * (q / m - half) / m / 24.0

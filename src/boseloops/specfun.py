@@ -160,8 +160,10 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
     if theta == 1.0:
         return -math.log1p(-xi)
     alpha = -math.log(xi)
-    return _geometric_series(lambda l: np.exp(-alpha * l - theta * np.log(l)),
-                             alpha, ctl)
+    # xi^l = xi e^{-alpha(l-1)}: the first term is exact even for xi << 1
+    return _geometric_series(
+        lambda l: xi * np.exp(-alpha * (l - 1.0) - theta * np.log(l)),
+        alpha, ctl)
 
 
 def gamma0(x: float) -> float:

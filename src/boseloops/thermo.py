@@ -16,6 +16,10 @@ beyond L is the package's one loop-series tail `specfun._em_sum`: an
 endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature, with
 its error estimate checked against rel_tol; its integrand evaluates log P on
 Python floats, one loop length at a time.
+
+`solve_gap` inverts nu for the gap by Brent's method on log nu against
+log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
+`mu_open_trap` inverts the open-trap g_d the same way, on log g_d.
 """
 
 from __future__ import annotations
@@ -260,27 +264,64 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Invert nu(mu) = target.nu for the gap Delta = E0 - mu > 0.
 
-    Finds the root in log(Delta) over [1e-300*E0, E0 + 50/beta] by Brent's
-    method, from one `_LoopProduct` for all trial gaps; the gap (not mu)
-    is the primary unknown because deep in the condensed regimes Delta is
-    exponentially small and would be lost entirely to rounding in E0 - mu.
+    Finds the root of log nu(Delta) - log target.nu in log(Delta) by Brent's
+    method, from one `_LoopProduct` for all trial gaps.  The search starts at
+    `gap_asymptotic`, clamped into the window [1e-300*E0, E0 + 50/beta], and
+    grows a bracket away from it (first step 0.5 in log Delta, each next
+    step four times longer) until nu crosses the target; within the
+    critical band, where there is no closed-form guess, the bracket is the
+    whole window.  log nu is nearly linear in log Delta in every regime
+    (nu ~ 1/Delta when condensed), so few evaluations are needed.  The gap
+    (not mu) is the primary unknown because deep in the condensed regimes
+    Delta is exponentially small and would be lost entirely to rounding in
+    E0 - mu.  Raises BracketError when nu does not cross the target within
+    the window.
     """
     beta, nu = target.beta, target.nu
     e0 = ground_energy(trap)
     log_scale = trap.dim * math.log(trap.kappa_abs)
+    log_nu = math.log(nu)
     loops = _LoopProduct(beta, trap, ctl)
 
     def f(log_delta: float) -> float:
-        return loops.sum(beta * math.exp(log_delta), log_scale) - nu
+        s = loops.sum(beta * math.exp(log_delta), log_scale)
+        return math.log(s) - log_nu if s > 0.0 else -math.inf
 
-    lo = math.log(1e-300 * e0)
-    hi = math.log(e0 + 50.0 / beta)
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise BracketError(
-            f"nu={nu} not bracketed by the gap window [{math.exp(lo)}, {math.exp(hi)}]")
+    lo_edge = math.log(1e-300 * e0)
+    hi_edge = math.log(e0 + 50.0 / beta)
+
+    def unbracketed() -> BracketError:
+        return BracketError(f"nu={nu} not bracketed by the gap window "
+                            f"[{math.exp(lo_edge)}, {math.exp(hi_edge)}]")
+
+    try:
+        guess = gap_asymptotic(target, trap, ctl)
+    except RegimeError:
+        guess = math.nan
+    if math.isfinite(guess) and guess > 0.0:
+        x = min(max(math.log(guess), lo_edge), hi_edge)
+        fx = f(x)
+        # nu falls as the gap grows: above the target, the root lies up
+        up = fx > 0.0
+        edge = hi_edge if up else lo_edge
+        y, fy, step = x, fx, 0.5
+        while fy != 0.0 and (fy > 0.0) == up:
+            if y == edge:
+                raise unbracketed()
+            x, fx = y, fy
+            y = min(y + step, edge) if up else max(y - step, edge)
+            fy = f(y)
+            step *= 4.0
+        (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (y, fy)])
+    else:
+        lo, hi = lo_edge, hi_edge
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo < 0.0 or f_hi > 0.0:
+            raise unbracketed()
+    known = {lo: f_lo, hi: f_hi}
     from scipy import optimize
-    root = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    root = optimize.brentq(lambda x: known[x] if x in known else f(x),
+                           lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
     return math.exp(root)
 
 
@@ -434,25 +475,27 @@ def mu_open_trap(beta: float, nu: float, d: int,
                  omega0: float | None = None,
                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Subcritical open-trap chemical potential mu0 < 0 solving
-    g_d(e^{beta mu}) = nu (hbar omega0 beta)^d."""
+    g_d(e^{beta mu}) = nu (hbar omega0 beta)^d: log(1 - e^{-rhs}) / beta
+    for d = 1, else Brent's method on log g_d(e^x) - log rhs over
+    x = beta mu in [-745, 0], to rounding."""
     if d not in (1, 2, 3):
         raise DomainError("d must be 1, 2 or 3")
     w0 = consts.omega0 if omega0 is None else omega0
     rhs = nu * (consts.hbar * w0 * beta) ** d
     if d == 1:
-        return math.log(-math.expm1(-rhs)) / beta
+        return _log1mexp_float(rhs) / beta
     if rhs >= polylog(float(d), 1.0, ctl):
         raise RegimeError("nu at or above nu_c: no subcritical open-trap mu")
-    lo, hi = -745.0, 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if polylog(float(d), math.exp(mid), ctl) < rhs:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi) / beta
+    # log g_d(e^x) is nearly linear in x where g_d(e^x) ~ e^x
+    log_rhs = math.log(rhs)
+
+    def f(x: float) -> float:
+        return math.log(polylog(float(d), math.exp(x), ctl)) - log_rhs
+
+    from scipy import optimize
+    x = optimize.brentq(f, -745.0, 0.0, xtol=1e-300, rtol=8.9e-16,
+                        maxiter=200)
+    return x / beta
 
 
 def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,

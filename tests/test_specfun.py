@@ -73,6 +73,17 @@ class TestPolylog:
                 assert polylog(theta, xi) == pytest.approx(ref, rel=1e-13,
                                                            abs=0.0)
 
+    @pytest.mark.parametrize("theta", [0.5, 1.5, 2.5, 3.0])
+    def test_small_argument_vs_mpmath(self, theta):
+        # g_theta(xi) = xi + xi^2/2^theta + ...: the first term stays exact
+        # for xi far below 1
+        with mpmath.workdps(40):
+            for xi in (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1e-5,
+                       1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999):
+                ref = float(mpmath.polylog(theta, mpmath.mpf(xi)))
+                assert polylog(theta, xi) == pytest.approx(ref, rel=1e-15,
+                                                           abs=0.0)
+
     def test_tail_quadrature_error_is_reported(self, monkeypatch):
         # the Euler-Maclaurin tail warns with its quadrature error estimate
         # when that exceeds rel_tol of the sum

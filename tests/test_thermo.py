@@ -259,6 +259,85 @@ class TestSolvers:
             solve_gap(CanonicalTarget(1.0, 1e305), Isotropic(3, 0.3))
 
 
+def _window_gap(target, trap):
+    """The gap by Brent's method on nu - target.nu over the whole window
+    [1e-300*E0, E0 + 50/beta] in log Delta: an independent route to the
+    root of `solve_gap`."""
+    from scipy import optimize
+
+    beta = target.beta
+    log_scale = trap.dim * math.log(trap.kappa_abs)
+    loops = thermo._LoopProduct(beta, trap, DEFAULT_CONTROL)
+    e0 = ground_energy(trap)
+    root = optimize.brentq(
+        lambda x: loops.sum(beta * math.exp(x), log_scale) - target.nu,
+        math.log(1e-300 * e0), math.log(e0 + 50.0 / beta),
+        xtol=1e-12, rtol=8.9e-16, maxiter=200)
+    return math.exp(root)
+
+
+# the kappa ladders of the benchmark workloads (bench/workloads.py)
+_BENCH_LADDER = (
+    [(Quasi1D(k, 1.0), 4.0) for k in (0.4, 0.35, 0.3, 0.25)]
+    + [(Quasi2D(k, 1.0), 2.0)
+       for k in (0.05, 0.03, 0.02, 0.01, 0.005, 0.0035)]
+    + [(Isotropic(3, k), 2.4)
+       for k in (1e-5, 5e-6, 3e-6, 2e-6, 1e-6, 5e-7)])
+
+
+def _solver_cases():
+    cases = list(_BENCH_LADDER)
+    for d in (1, 2, 3):  # subcritical (every nu for d = 1)
+        for kappa in (0.3, 0.01):
+            trap = Isotropic(d, kappa)
+            nu_c = _nu_critical_trap(1.0, trap)
+            cases += [(trap, 0.3 * nu_c if d > 1 else 0.3),
+                      (trap, 0.8 * nu_c if d > 1 else 5.0)]
+    trap = Quasi1D(0.3, 1.0)  # g-BEC only: nu_c < nu < nu_m
+    nu_c, numm = _nu_critical_trap(1.0, trap), nu_m(1.0, trap)
+    cases += [(trap, nu_c + 0.1 * (numm - nu_c)), (trap, 0.5 * (nu_c + numm))]
+    # the critical band: no closed-form guess, the whole window
+    for trap in (Isotropic(3, 0.01), Quasi2D(0.01, 1.0)):
+        nu_c = _nu_critical_trap(1.0, trap)
+        cases += [(trap, nu_c * (1.0 - 1e-7)), (trap, nu_c * (1.0 + 1e-7))]
+    cases.append((Isotropic(1, 0.2), 50.0))  # open-trap guess e^{-50}
+    trap = Quasi2D(0.005, 1.0)  # a gap below 1e-17
+    cases.append((trap, 2.0 * _nu_critical_trap(1.0, trap)))
+    return cases
+
+
+def _case_id(value):
+    if isinstance(value, float):
+        return f"nu{value:.9g}"
+    return f"{type(value).__name__}-d{value.dim}-k{value.kappa:g}"
+
+
+class TestGapSolver:
+    @pytest.mark.parametrize("trap,nu", _BENCH_LADDER, ids=_case_id)
+    def test_few_nu_evaluations(self, trap, nu, monkeypatch):
+        # from the closed-form guess, every bench-ladder solve needs at most
+        # 10 evaluations of nu, bracket included (a whole-window Brent
+        # solve on nu needs 22-27)
+        calls = []
+        real = thermo._LoopProduct.sum
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+        monkeypatch.setattr(thermo._LoopProduct, "sum", counted)
+        solve_gap(CanonicalTarget(1.0, nu), trap)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("trap,nu", _solver_cases(), ids=_case_id)
+    def test_matches_window_solve(self, trap, nu):
+        target = CanonicalTarget(1.0, nu)
+        gap = solve_gap(target, trap)
+        assert nu_rescaled(_eq(trap, gap)) / nu - 1.0 == pytest.approx(
+            0.0, abs=1e-11)
+        assert gap == pytest.approx(_window_gap(target, trap), rel=1e-12,
+                                    abs=0.0)
+
+
 def _omega_mode_sum(trap, gap, n_slow=2000, n_perp=300):
     """beta Omega = sum over modes of (n+1) log(1 - e^{-(beta gap + a_perp n
     + a_1 s)}) for Quasi1D at beta = 1: the slow quantum number s summed
@@ -339,6 +418,28 @@ class TestOpenTrapLaws:
             mu0 = mu_open_trap(1.0, nu, d)
             assert mu0 < 0.0
             assert nu_open_trap(1.0, mu0, d) == pytest.approx(nu, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mu_open_trap_vs_mpmath(self, d):
+        # Brent on log g_d(e^x) resolves mu0 to rounding up to 0.98 nu_c
+        import mpmath
+
+        nu_c = nu_critical(1.0, d)
+        with mpmath.workdps(40):
+            for frac in (0.01, 0.3, 0.8, 0.9, 0.98):
+                nu = frac * nu_c
+                mu0 = mu_open_trap(1.0, nu, d)
+                ref = mpmath.findroot(
+                    lambda x: mpmath.polylog(d, mpmath.exp(x)) - nu,
+                    (mu0 * 1.001, mu0 * 0.999), solver="secant")
+                assert mu0 == pytest.approx(float(ref), rel=5e-14, abs=0.0)
+
+    def test_mu_open_trap_d1_large_nu(self):
+        # mu0 = log(1 - e^{-50}) = -e^{-50}(1 + e^{-50}/2 + ...), not 0
+        assert mu_open_trap(1.0, 50.0, 1) == pytest.approx(
+            -math.exp(-50.0), rel=1e-15, abs=0.0)
+        assert gap_asymptotic(CanonicalTarget(1.0, 40.0),
+                              Isotropic(1, 0.2)) > 0.0
 
     def test_mu_open_trap_supercritical_rejected(self):
         with pytest.raises(RegimeError):
