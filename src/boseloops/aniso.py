@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ModelError, RegimeError
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel
-from .rdm import _noncond_range_sum, _window_cutoffs
+from .rdm import _noncond_windows, _window_cutoffs
 from .specfun import DEFAULT_CONTROL, SeriesControl, de_broglie, polylog
 from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
                      _nu_critical_trap, nu_m)
@@ -68,9 +68,8 @@ def meso_q1d(x, y, eq: Equilibrium) -> float:
     (treated as infinite once it exceeds 2^62)."""
     if not isinstance(eq.trap, Quasi1D):
         raise ModelError("meso_q1d requires a Quasi1D trap")
-    n_short, m = _window_cutoffs(eq.trap, eq.ctl, 1.0)
-    val = _noncond_range_sum(x, y, eq, n_short + 1,
-                             None if math.isinf(m) else int(m))
+    n_short, m, _ = _window_cutoffs(eq.trap, eq.ctl, 1.0)
+    val = _noncond_windows(x, y, eq, [n_short, m])[0]
     if not val > 0.0:
         raise DomainError("mesoscopic window sum is not positive; no log")
     return math.log(val)
@@ -153,9 +152,8 @@ def additional_q2d(x, y, eq: Equilibrium, chi: float = 2.0) -> float:
         raise ModelError("additional_q2d requires a Quasi2D trap")
     if chi <= 0:
         raise DomainError("chi must be positive")
-    n_short, m = _window_cutoffs(eq.trap, eq.ctl, chi)
-    return _noncond_range_sum(x, y, eq, n_short + 1,
-                              None if math.isinf(m) else int(m))
+    n_short, m, _ = _window_cutoffs(eq.trap, eq.ctl, chi)
+    return _noncond_windows(x, y, eq, [n_short, m])[0]
 
 
 @dataclass(frozen=True)
@@ -187,12 +185,7 @@ def q2d_chi_split(x, y, eq: Equilibrium) -> ChiSplit:
     trap = eq.trap
     if not isinstance(trap, Quasi2D):
         raise ModelError("q2d_chi_split requires a Quasi2D trap")
-    n_short, m = _window_cutoffs(trap, eq.ctl, 2.0)
-    kappa_perp = trap.kappas[1]
-    mid = max(int(math.floor(trap.kappa ** (-eq.ctl.sigma2) / kappa_perp)),
-              n_short)
-    l_hi = None if math.isinf(m) else max(int(m), mid)
-    first = _noncond_range_sum(x, y, eq, n_short + 1, mid)
-    second = _noncond_range_sum(x, y, eq, mid + 1, l_hi)
+    n_short, m, mid = _window_cutoffs(trap, eq.ctl, 2.0)
+    first, second = _noncond_windows(x, y, eq, [n_short, mid, max(m, mid)])
     return ChiSplit(first, second,
                     0.5 * q2d_additional_limit(eq.beta, trap))

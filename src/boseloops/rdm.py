@@ -8,16 +8,20 @@ closed form.  Equivalently, the full series equals
     rdm(x,y) = noncondensate(x,y) + Psi0(x)Psi0(y) / (e^{beta(E0-mu)} - 1),
 
 where the noncondensate part sums the dyad-subtracted kernels and converges
-after ~L* terms even arbitrarily close to criticality.  The same engine
-evaluates arbitrary loop-length windows, which is what the short/meso/macro
-decompositions and the anisotropic plateau sums are made of.  A window,
-like the open-trap (kappa -> 0) series, is summed by the package's one
-loop-series engine `specfun._series`: its first `specfun._DIRECT_CAP` loops
-directly, the rest by the Euler-Maclaurin tail `specfun._em_sum`, whose
-quadrature error estimate is checked against rel_tol of the sum (a
-TruncationWarning when it is not met).  Every trapped observable takes a
-`thermo.Equilibrium` and reads its gap, so all windows of one (target,
-trap) share a single solve.
+after ~L* terms even arbitrarily close to criticality.  One evaluator,
+`_noncond_windows`, takes sorted loop-length cutoffs (math.inf as the only
+open end) and returns the dyad-subtracted sum of each window between them.
+The full series is one call of it on [0, inf]; the short/meso/macro
+decomposition and each anisotropic window sum of `aniso` are one call on
+cutoffs from `_window_cutoffs`.  It derives the geometry, the dyad and L*
+once per call, and sums each window, like the open-trap (kappa -> 0)
+series, by the package's one loop-series engine `specfun._series`: its
+first `specfun._DIRECT_CAP` loops directly, the rest by the Euler-Maclaurin
+tail `specfun._em_sum`, whose quadrature error estimate is checked against
+rel_tol of the sum (a TruncationWarning when it is not met).  That is the
+only quadrature: the barometric radii are closed forms.  Every trapped
+observable takes a `thermo.Equilibrium` and reads its gap, so all windows of
+one (target, trap) share a single solve.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import specfun
 from .errors import (DomainError, ModelError, OriginError, RegimeError,
@@ -86,33 +89,28 @@ def _relax_length(beta, c, sq_plus, sq_minus, hw, dim, rel_tol) -> int:
     return int(math.ceil(worst))
 
 
-def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
-    """sum over the loop-length window [l_lo, l_hi] of
+def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
+    """Sums over the loop-length windows (cuts[i], cuts[i+1]] of
     e^{-l beta gap} [K(x,y; l beta) - dyad], dyad = Psi0(x)Psi0(y), at the
     gap of eq.
 
-    l_hi may be None (infinite window).  Terms beyond the relaxation length
-    L* contribute below rel_tol relative to the macroscopic tail and are
-    dropped.  The rest is summed by `specfun._series`, which warns
-    (TruncationWarning) when its quadrature error estimate exceeds rel_tol
-    of the window sum.
+    cuts is nondecreasing, starts at 0 or above and may end at math.inf; an
+    empty window gives 0.0.  The geometry, the dyad and the relaxation
+    length L* are derived once for all windows.  Terms beyond L* contribute
+    below rel_tol relative to the macroscopic tail and are dropped.  Each
+    window is one `specfun._series` call, which warns (TruncationWarning)
+    when its quadrature error estimate exceeds rel_tol of the window sum.
     """
-    if l_lo < 1:
+    if cuts[0] < 0:
         raise DomainError("loop lengths start at 1")
     beta, trap, ctl = eq.beta, eq.trap, eq.ctl
     c, sq_plus, sq_minus, hw = _axis_geometry(x, y, trap)
     log_dyad = log_ground_state_product(x, y, trap)
     w0 = beta * eq.gap
-
     l_star = _relax_length(beta, c, sq_plus, sq_minus, hw, trap.dim, ctl.rel_tol)
-    upper = l_star if l_hi is None else min(l_hi, l_star)
-    if w0 > 0.0:
-        # headroom covers the (logarithmically growing) subtracted exponent
-        cut = (1500.0 - min(log_dyad, 0.0)) / w0
-        if cut < 8e18:
-            upper = min(upper, l_lo + int(cut) + 1)
-    if upper < l_lo:
-        return 0.0
+    # headroom covers the (logarithmically growing) subtracted exponent
+    cut = (1500.0 - min(log_dyad, 0.0)) / w0 if w0 > 0.0 else math.inf
+    rates = (beta * hw).tolist() + [w0]
 
     def summand(l):
         dlt = _delta_exponent(l, beta, c, sq_plus, sq_minus, hw)
@@ -123,31 +121,38 @@ def _noncond_range_sum(x, y, eq: Equilibrium, l_lo: int, l_hi) -> float:
         safe = np.where(big, 0.0, dlt)
         return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
 
-    return _series(summand, l_lo, upper, (beta * hw).tolist() + [w0],
-                   ctl.rel_tol)
+    sums = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        l_lo = lo + 1
+        upper = min(hi, l_star)
+        if cut < 8e18:
+            upper = min(upper, l_lo + int(cut) + 1)
+        sums.append(_series(summand, l_lo, upper, rates, ctl.rel_tol)
+                    if upper >= l_lo else 0.0)
+    return sums
 
 
-def _geometric_window(w0: float, l_lo: int, l_hi) -> float:
-    """sum_{l=l_lo}^{l_hi} e^{-l w0}, l_hi None meaning infinity."""
-    head = math.exp(-l_lo * w0) / (-math.expm1(-w0))
-    if l_hi is None:
-        return head
-    if l_hi < l_lo:
+def _geometric_window(w0: float, lo, hi) -> float:
+    """sum_{l=lo+1}^{hi} e^{-l w0}; hi may be math.inf."""
+    if hi <= lo:
         return 0.0
-    return head * (-math.expm1(-(l_hi - l_lo + 1) * w0))
+    head = math.exp(-(lo + 1) * w0) / (-math.expm1(-w0))
+    if math.isinf(hi):
+        return head
+    return head * (-math.expm1(-(hi - lo) * w0))
 
 
 def rdm_loops(x, y, eq: Equilibrium) -> float:
     """Reduced density matrix r(x,y) by the loop series at the solved mu."""
     dyad = ground_state_product(x, y, eq.trap)
-    return _noncond_range_sum(x, y, eq, 1, None) \
+    return _noncond_windows(x, y, eq, [0, math.inf])[0] \
         + dyad * float(bose(eq.beta * eq.gap))
 
 
 def noncondensate(x, y, eq: Equilibrium) -> float:
     """rdm_loops minus the ground-state term
     Psi0(x)Psi0(y)/(e^{beta(E0-mu)}-1)."""
-    return _noncond_range_sum(x, y, eq, 1, None)
+    return _noncond_windows(x, y, eq, [0, math.inf])[0]
 
 
 def rdm_rescaled(x, y, eq: Equilibrium) -> float:
@@ -216,27 +221,32 @@ class LoopDecomposition:
 
 
 def _window_cutoffs(trap: TrapModel, ctl: SeriesControl,
-                    chi: float) -> tuple[int, float]:
-    """Short cutoff N = floor(kappa^-sigma) and upper cutoff
+                    chi: float) -> tuple[int, int | float, int]:
+    """Short cutoff N = floor(kappa^-sigma), upper cutoff
     M = max(N, floor(kappa^-sigma2 e^{chi s})), s = kappa_c^2/kappa^2
-    (Quasi1D) or sqrt(kappa_c/kappa) (Quasi2D).
+    (Quasi1D) or sqrt(kappa_c/kappa) (Quasi2D), and the quasi-2D split point
+    S = max(N, floor(kappa^-sigma2 / kappa_perp)) of `aniso.q2d_chi_split`.
 
-    M is integer-valued, or math.inf once it exceeds 2^62; isotropic traps
-    have M = N.  The macroscopic cutoff is chi = 1 (Quasi1D) or 2 (Quasi2D).
+    M is an integer, or math.inf once it exceeds 2^62; isotropic traps have
+    M = N, and S = N except for Quasi2D.  The macroscopic cutoff is chi = 1
+    (Quasi1D) or 2 (Quasi2D).
     """
     n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
     if isinstance(trap, Isotropic):
-        return n_short, float(n_short)
+        return n_short, n_short, n_short
+    split = n_short
     if isinstance(trap, Quasi1D):
         log_m = chi * (trap.kappa_c**2 / trap.kappa**2)
     elif isinstance(trap, Quasi2D):
         log_m = chi * math.sqrt(trap.kappa_c / trap.kappa)
+        split = max(int(math.floor(trap.kappa ** (-ctl.sigma2)
+                                   / trap.kappas[1])), n_short)
     else:  # pragma: no cover
         raise ModelError("unsupported trap model")
     log_m -= ctl.sigma2 * math.log(trap.kappa)
     if log_m >= 62.0 * math.log(2.0):
-        return n_short, math.inf
-    return n_short, max(float(math.floor(math.exp(log_m))), float(n_short))
+        return n_short, math.inf, split
+    return n_short, max(math.floor(math.exp(log_m)), n_short), split
 
 
 def loop_decompose(x, y, eq: Equilibrium) -> LoopDecomposition:
@@ -254,24 +264,14 @@ def loop_decompose(x, y, eq: Equilibrium) -> LoopDecomposition:
         raise DomainError("sigma must be positive")
     w0 = eq.beta * eq.gap
     dyad = ground_state_product(x, y, trap)
-    n_short, m_macro = _window_cutoffs(
+    n_short, m_macro, _ = _window_cutoffs(
         trap, ctl, 2.0 if isinstance(trap, Quasi2D) else 1.0)
-
-    def window(lo: int, hi) -> float:
-        if hi is not None and hi < lo:
-            return 0.0
-        sub = _noncond_range_sum(x, y, eq, lo, hi)
-        return sub + dyad * _geometric_window(w0, lo, hi)
-
-    short_sum = window(1, n_short)
-    if math.isinf(m_macro):
-        meso_sum = window(n_short + 1, None)
-        macro_sum = 0.0
-    else:
-        meso_sum = window(n_short + 1, int(m_macro))
-        macro_sum = window(int(m_macro) + 1, None)
+    cuts = [0, n_short, m_macro, math.inf]
+    short_sum, meso_sum, macro_sum = (
+        sub + dyad * _geometric_window(w0, lo, hi) for sub, lo, hi
+        in zip(_noncond_windows(x, y, eq, cuts), cuts, cuts[1:]))
     total = short_sum + meso_sum + macro_sum
-    return LoopDecomposition(n_short, m_macro, short_sum, meso_sum,
+    return LoopDecomposition(n_short, float(m_macro), short_sum, meso_sum,
                              macro_sum, total)
 
 
@@ -298,17 +298,18 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
         if nu > nu_c or (d == 2 and nu >= nu_c * (1.0 - CRITICAL_BAND)):
             return math.inf
         if d == 3 and abs(nu - nu_c) < CRITICAL_BAND * nu_c:
-            z = 1.0
+            alpha = 0.0
         else:
-            z = math.exp(beta * mu_open_trap(beta, nu, d, consts, ctl=ctl))
+            alpha = -beta * mu_open_trap(beta, nu, d, consts, ctl=ctl)
     else:
-        z = math.exp(beta * mu_open_trap(beta, nu, 1, consts, ctl=ctl))
+        alpha = -beta * mu_open_trap(beta, nu, 1, consts, ctl=ctl)
 
     half = 0.5 * d
-    alpha = -math.log(z)
+    z = math.exp(-alpha)
 
     def summand(l):
-        return np.exp(-alpha * l - q / l - half * np.log(l))
+        # z^l = z e^{-alpha(l-1)}: the first term is exact even for z << 1
+        return z * np.exp(-alpha * (l - 1.0) - q / l - half * np.log(l))
 
     if z < 1.0:
         total = _geometric_series(summand, alpha, ctl)
@@ -451,7 +452,7 @@ class BarometricRadii:
 
 def barometric_radii(target: CanonicalTarget, trap: TrapModel,
                      ctl: SeriesControl = DEFAULT_CONTROL) -> BarometricRadii:
-    """<x_j^2> of the two supercritical open-trap profiles by quadrature.
+    """<x_j^2> of the two supercritical open-trap profiles in closed form.
 
     Thermal profile: g_{d/2}(e^{-beta V(r)}); condensate profile:
     e^{-m omega0 r^2 / hbar}.  Requires d in {2,3} and nu > nu_c.
@@ -464,29 +465,12 @@ def barometric_radii(target: CanonicalTarget, trap: TrapModel,
     if not nu > nu_c:
         raise RegimeError("barometric radii require nu > nu_c")
     omega0 = trap.omega0
-    bq = 0.5 * beta * consts.mass * omega0**2
-
-    def thermal(r: float) -> float:
-        t = max(bq * r * r, 1e-300)
-        if d == 2:
-            # g_1(e^-t) = -log(1 - e^-t), integrable at the origin
-            return -float(log1mexp(t))
-        return polylog(1.5, math.exp(-t), ctl)
-
-    def moment(profile, power: int) -> float:
-        val, _ = integrate.quad(lambda r: r**power * profile(r), 0.0, np.inf,
-                                limit=300, epsabs=1e-12, epsrel=1e-10)
-        return val
-
-    r2_th = moment(thermal, d + 1) / (d * moment(thermal, d - 1))
-    ac = consts.mass * omega0 / consts.hbar
-
-    def cond(r: float) -> float:
-        return math.exp(-ac * r * r)
-
-    r2_co = moment(cond, d + 1) / (d * moment(cond, d - 1))
-    ratio = r2_th / r2_co
+    # per axis <x^2> = zeta(d+1)/(2 b zeta(d)), b = beta m omega0^2/2, for
+    # g_{d/2}(e^{-b r^2}), and hbar/(2 m omega0) for e^{-m omega0 r^2/hbar}
     zr = polylog(float(d + 1), 1.0, ctl) / polylog(float(d), 1.0, ctl)
+    r2_th = zr / (beta * consts.mass * omega0**2)
+    r2_co = consts.hbar / (2.0 * consts.mass * omega0)
+    ratio = r2_th / r2_co
     single = 2.0 * zr / (consts.hbar * omega0 * beta)
     double = single / beta
     return BarometricRadii(r2_th, r2_co, ratio, single, double,

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from .errors import DomainError, TruncationWarning
 
@@ -97,8 +98,6 @@ def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
     the caller has already summed.  This is the one tail of the package's
     loop-length sums: `_series` and `thermo._LoopProduct`.
     """
-    from scipy import integrate
-
     if l2 <= l1:
         return f(l1)
     v1, v2 = math.log(l1), math.log(l2)

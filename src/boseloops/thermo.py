@@ -472,7 +472,6 @@ def gbec_band_sum(eq: Equilibrium, epsilon: float) -> float:
 
 def mu_open_trap(beta: float, nu: float, d: int,
                  consts: PhysicalConstants = PhysicalConstants(),
-                 omega0: float | None = None,
                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Subcritical open-trap chemical potential mu0 < 0 solving
     g_d(e^{beta mu}) = nu (hbar omega0 beta)^d: log(1 - e^{-rhs}) / beta
@@ -480,8 +479,7 @@ def mu_open_trap(beta: float, nu: float, d: int,
     x = beta mu in [-745, 0], to rounding."""
     if d not in (1, 2, 3):
         raise DomainError("d must be 1, 2 or 3")
-    w0 = consts.omega0 if omega0 is None else omega0
-    rhs = nu * (consts.hbar * w0 * beta) ** d
+    rhs = nu * (consts.hbar * consts.omega0 * beta) ** d
     if d == 1:
         return _log1mexp_float(rhs) / beta
     if rhs >= polylog(float(d), 1.0, ctl):
@@ -510,18 +508,20 @@ def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
         if math.isfinite(value) and abs(nu - value) < CRITICAL_BAND * value:
             raise RegimeError(f"nu within the critical band of {name}")
 
+    def open_trap_gap():
+        return -mu_open_trap(beta, nu, trap.dim,
+                             replace(trap.consts, omega0=trap.omega0), ctl=ctl)
+
     check_away(nu_c, "nu_c")
     if isinstance(trap, Isotropic):
         if trap.d == 1 or nu < nu_c:
-            return -mu_open_trap(beta, nu, trap.dim, trap.consts,
-                                 omega0=trap.omega0, ctl=ctl)
+            return open_trap_gap()
         return trap.kappa ** trap.d / (beta * (nu - nu_c))
     if isinstance(trap, Quasi1D):
         numm = nu_m(beta, trap, ctl)
         check_away(numm, "nu_m")
         if nu < nu_c:
-            return -mu_open_trap(beta, nu, 3, trap.consts,
-                                 omega0=trap.omega0, ctl=ctl)
+            return open_trap_gap()
         if nu < numm:
             return math.exp(-h * trap.omega1 * beta * (nu - nu_c)
                             / trap.kappa**2) / beta
@@ -529,8 +529,7 @@ def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
         return k1 * kp**2 / (beta * (nu - numm))
     if isinstance(trap, Quasi2D):
         if nu < nu_c:
-            return -mu_open_trap(beta, nu, 3, trap.consts,
-                                 omega0=trap.omega0, ctl=ctl)
+            return open_trap_gap()
         k1, kp, _ = trap.kappas
         return k1 * kp**2 / (beta * (nu - nu_c))
     raise ModelError("unsupported trap model")  # pragma: no cover

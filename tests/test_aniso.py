@@ -13,7 +13,7 @@ from boseloops.aniso import (AnisotropicRegime, ChiSplit, MesoPrediction,
 from boseloops.errors import DomainError, ModelError, RegimeError
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy,
                                ground_state_product, log_kernel_d)
-from boseloops.rdm import _noncond_range_sum, loop_decompose
+from boseloops.rdm import _noncond_windows, loop_decompose
 from boseloops.specfun import DEFAULT_CONTROL, SeriesControl, de_broglie
 from boseloops.thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
                               nu_m)
@@ -90,8 +90,8 @@ class TestMesoQuasi1D:
         x = np.zeros(3)
         dec = loop_decompose(x, x, eq)
         assert dec.macro_cutoff == 651.0
-        window = _noncond_range_sum(x, x, eq, dec.short_cutoff + 1,
-                                    int(dec.macro_cutoff))
+        window, = _noncond_windows(x, x, eq, [dec.short_cutoff,
+                                              int(dec.macro_cutoff)])
         assert meso_q1d(x, x, eq) == pytest.approx(math.log(window),
                                                    rel=1e-12)
 

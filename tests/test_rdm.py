@@ -16,7 +16,8 @@ from boseloops.rdm import (BarometricRadii, LoopDecomposition, barometric_radii,
                            loop_decompose, noncondensate, open_trap_rdm,
                            rdm_eigen, rdm_loops, rdm_rescaled,
                            scaled_density_limit, semiclassical_density)
-from boseloops.specfun import SeriesControl, de_broglie, polylog
+from boseloops.specfun import (PhysicalConstants, SeriesControl, de_broglie,
+                               polylog)
 from boseloops.thermo import CanonicalTarget, Equilibrium, bose, nu_critical
 
 ZETA_3 = 1.2020569031595942854
@@ -96,19 +97,22 @@ class TestLoopDecomposition:
         assert dec.short_sum >= 0.0 and dec.total > 0.0
 
     def test_window_additivity(self):
-        from boseloops.rdm import _noncond_range_sum
+        from boseloops.rdm import _noncond_windows
         eq = _eq(Isotropic(3, 0.3), 2.5)
         x = np.zeros(3)
-        whole = _noncond_range_sum(x, x, eq, 1, 500)
-        parts = _noncond_range_sum(x, x, eq, 1, 99) \
-            + _noncond_range_sum(x, x, eq, 100, 500)
-        assert whole == pytest.approx(parts, rel=1e-12)
+        whole, = _noncond_windows(x, x, eq, [0, 500])
+        parts = _noncond_windows(x, x, eq, [0, 99]) \
+            + _noncond_windows(x, x, eq, [99, 500])
+        assert whole == pytest.approx(sum(parts), rel=1e-12)
+        # one call on [a, b, c] gives the single-window calls bit for bit
+        assert _noncond_windows(x, x, eq, [0, 99, 500]) == parts
         # windows that cross the end of the direct stretch at 10^4 loops
         eq = _eq(Isotropic(3, 1e-4), 2.4)
-        whole = _noncond_range_sum(x, x, eq, 1, 50_000)
-        parts = _noncond_range_sum(x, x, eq, 1, 20_000) \
-            + _noncond_range_sum(x, x, eq, 20_001, 50_000)
-        assert whole == pytest.approx(parts, rel=1e-12)
+        whole, = _noncond_windows(x, x, eq, [0, 50_000])
+        parts = _noncond_windows(x, x, eq, [0, 20_000]) \
+            + _noncond_windows(x, x, eq, [20_000, 50_000])
+        assert whole == pytest.approx(sum(parts), rel=1e-12)
+        assert _noncond_windows(x, x, eq, [0, 20_000, 50_000]) == parts
 
     @pytest.mark.parametrize("trap,nu,l_lo,l_hi", [
         (Isotropic(3, 1e-5), 2.4, 1, 1_778_279),
@@ -119,15 +123,16 @@ class TestLoopDecomposition:
         # independent route for the Euler-Maclaurin tail of a window: the
         # direct sum over every loop of it, with the direct stretch raised
         from boseloops import specfun
-        from boseloops.rdm import _noncond_range_sum
+        from boseloops.rdm import _noncond_windows
         eq = _eq(trap, nu)
         points = [(np.zeros(3), np.zeros(3)),
                   (np.array([1.0, 0.5, 0.0]), np.zeros(3))]
-        tail = [_noncond_range_sum(x, y, eq, l_lo, l_hi) for x, y in points]
+        cuts = [l_lo - 1, l_hi]
+        tail = [_noncond_windows(x, y, eq, cuts)[0] for x, y in points]
         monkeypatch.setattr(specfun, "_DIRECT_CAP", 2 * 10**6)
         for (x, y), val in zip(points, tail):
             assert val == pytest.approx(
-                _noncond_range_sum(x, y, eq, l_lo, l_hi), rel=1e-12, abs=0.0)
+                _noncond_windows(x, y, eq, cuts)[0], rel=1e-12, abs=0.0)
 
     def test_window_quadrature_error_is_reported(self, monkeypatch):
         # the window tail warns with its quadrature error estimate when that
@@ -163,9 +168,18 @@ class TestLoopDecomposition:
 
     def test_quasi1d_macro_cutoff_overflow_policy(self):
         trap = Quasi1D(0.1, 1.0)  # e^{100} loop lengths: beyond any integer
-        dec = loop_decompose(np.zeros(3), np.zeros(3), _eq(trap, 3.0))
+        eq = _eq(trap, 3.0)
+        x = np.zeros(3)
+        dec = loop_decompose(x, x, eq)
         assert math.isinf(dec.macro_cutoff)
         assert dec.macro_sum == 0.0
+        # the meso window is (N, inf]: its dyad-subtracted sum plus the
+        # geometric dyad window
+        from boseloops.rdm import _geometric_window, _noncond_windows
+        cuts = [dec.short_cutoff, math.inf]
+        assert dec.meso_sum == _noncond_windows(x, x, eq, cuts)[0] \
+            + ground_state_product(x, x, trap) \
+            * _geometric_window(eq.beta * eq.gap, *cuts)
 
 
 class TestOpenTrapLimit:
@@ -186,9 +200,12 @@ class TestOpenTrapLimit:
         # loops, nearly all of them in the Euler-Maclaurin tail
         import mpmath
         from boseloops.thermo import mu_open_trap
-        z = math.exp(mu_open_trap(1.0, nu, 1))
+        # z = e^{mu0} is formed in mpmath: rounding it to a float would move
+        # alpha = -mu0 by ~1e-16/|mu0| relative (1e-8 of the sum at nu=20)
+        mu0 = mu_open_trap(1.0, nu, 1)
         with mpmath.workdps(30):
-            ref = float(mpmath.polylog(0.5, mpmath.mpf(z))) / de_broglie(1.0)
+            ref = float(mpmath.polylog(0.5, mpmath.exp(mpmath.mpf(mu0)))) \
+                / de_broglie(1.0)
         assert open_trap_rdm(np.zeros(1), np.zeros(1), 1.0, nu, 1) \
             == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -222,6 +239,24 @@ class TestOpenTrapLimit:
         q = math.pi * 300.0**2 / lam**2
         l = np.arange(1, 10**6 + 1, dtype=float)
         ref = float(np.sum(np.exp(-alpha * l - q / l - 0.5 * d * np.log(l))))
+        assert open_trap_rdm(np.zeros(d), y, 1.0, nu, d) == pytest.approx(
+            ref / lam**d, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,nu", [(2, 1.6), (3, 1.2)])
+    def test_far_offdiagonal_exact_alpha(self, d, nu):
+        # |x-y| = 3000: the sum scales like e^{-2 sqrt(q alpha)}, so a
+        # relative error in alpha = -beta mu0 comes out sqrt(q alpha) times
+        # larger (75 at d=3); the independent route is math.fsum of the terms
+        # at the exact alpha up to 4*10^5 loops, where they have fallen below
+        # 1e-150 of the largest
+        from boseloops.thermo import mu_open_trap
+        lam = de_broglie(1.0)
+        y = np.zeros(d)
+        y[0] = 3000.0
+        alpha = -mu_open_trap(1.0, nu, d)
+        q = math.pi * 3000.0**2 / lam**2
+        l = np.arange(1, 4 * 10**5 + 1, dtype=float)
+        ref = math.fsum(np.exp(-alpha * l - q / l - 0.5 * d * np.log(l)))
         assert open_trap_rdm(np.zeros(d), y, 1.0, nu, d) == pytest.approx(
             ref / lam**d, rel=1e-12, abs=0.0)
 
@@ -314,6 +349,38 @@ class TestBarometricRadii:
         assert res.ratio_single_beta == pytest.approx(res.ratio_double_beta,
                                                       rel=1e-12)
         assert res.printed_form_consistent
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    def test_radii_nonnatural_constants(self, d, beta):
+        # independent route: mpmath quadrature of the radial moments of the
+        # two profiles g_{d/2}(e^{-b r^2}), b = beta m omega0^2/2, and
+        # e^{-m omega0 r^2/hbar}
+        import mpmath
+        consts = PhysicalConstants(hbar=1.3, mass=0.7, omega0=2.1)
+        nu = 3.0 * polylog(float(d), 1.0) \
+            / (consts.hbar * consts.omega0 * beta) ** d
+        res = barometric_radii(_target(nu, beta), Isotropic(d, 0.1, consts))
+        with mpmath.workdps(16):
+            b = mpmath.mpf(beta) * consts.mass * consts.omega0**2 / 2
+            a = mpmath.mpf(consts.mass) * consts.omega0 / consts.hbar
+            if d == 2:
+                def thermal(r):
+                    return -mpmath.log(-mpmath.expm1(-b * r * r))
+            else:
+                def thermal(r):
+                    return mpmath.polylog(1.5, mpmath.exp(-b * r * r))
+
+            def r2(profile):
+                num, den = (mpmath.quad(lambda r: r**p * profile(r),
+                                        [0, 1, mpmath.inf])
+                            for p in (d + 1, d - 1))
+                return float(num / (d * den))
+
+            r2_th = r2(thermal)
+            r2_co = r2(lambda r: mpmath.exp(-a * r * r))
+        assert res.r2_thermal == pytest.approx(r2_th, rel=1e-12, abs=0.0)
+        assert res.r2_condensate == pytest.approx(r2_co, rel=1e-12, abs=0.0)
 
     def test_thermal_wider_than_condensate(self):
         trap = Isotropic(2, 0.1)
