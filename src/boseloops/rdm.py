@@ -18,7 +18,9 @@ once per call, and sums each window, like the open-trap (kappa -> 0)
 series, by the package's one loop-series engine `specfun._series`: its
 first `specfun._DIRECT_CAP` loops directly, the rest by the Euler-Maclaurin
 tail `specfun._em_sum`, whose quadrature error estimate is checked against
-rel_tol of the sum (a TruncationWarning when it is not met).  That is the
+rel_tol of the sum (a TruncationWarning when it is not met).  The direct
+stretch takes the vectorised window summand; the tail integrates its float
+form (`_window_summands`), which runs on Python floats and `math`.  That is the
 only quadrature: the barometric radii are closed forms.  Every trapped
 observable takes a `thermo.Equilibrium` and reads its gap, so all windows of
 one (target, trap) share a single solve.
@@ -42,8 +44,8 @@ from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, _geometric_series, _series, de_broglie,
                       hermite_eigen_table, polylog)
 from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
-                     _nu_critical_trap, bose, log1mexp, mu_open_trap,
-                     nu_critical)
+                     _log1mexp_float, _nu_critical_trap, bose, log1mexp,
+                     mu_open_trap, nu_critical)
 
 _CRAMER = 1.0865
 
@@ -57,25 +59,51 @@ def _axis_geometry(x, y, trap: TrapModel):
     return c, (x + y) ** 2, (x - y) ** 2, trap.consts.hbar * wk
 
 
-def _delta_exponent(l, beta, c, sq_plus, sq_minus, hw):
+def _delta_exponent(l, axes):
     """log[ K(l beta) / dyad ] as a function of loop length l (vectorized).
 
-    Per axis, with u = hbar omega kappa l beta:
-      -0.5 log(1-e^{-2u}) + (c/2)[ (x+y)^2/(e^u+1) - (x-y)^2/(e^u-1) ],
+    axes holds per axis the floats a = beta hbar omega kappa,
+    p = c (x+y)^2 / 2 and m = c (x-y)^2 / 2; with u = a l each axis adds
+      -0.5 log(1-e^{-2u}) + p e^{-u}/(1+e^{-u}) - m e^{-u}/(1-e^{-u}),
     which decays like e^{-u}; the cancellation against the dyad is done
     analytically so no large logs are ever subtracted numerically.
     """
     l = np.asarray(l, dtype=float)
     out = np.zeros_like(l)
-    for j in range(len(c)):
-        u = beta * hw[j] * l
+    for a, p, m in axes:
+        u = a * l
         eu = np.exp(-u)
-        with np.errstate(over="ignore"):
-            sm = 1.0 / np.expm1(np.minimum(u, 745.0))
-        sp = eu / (1.0 + eu)
-        out = out - 0.5 * log1mexp(np.minimum(2.0 * u, 1490.0)) \
-            + 0.5 * c[j] * (sq_plus[j] * sp - sq_minus[j] * sm)
+        out = out - 0.5 * log1mexp(2.0 * u) \
+            + (p * (eu / (1.0 + eu)) - m * (eu / -np.expm1(-u)))
     return out
+
+
+def _window_summands(axes, w0: float, log_dyad: float):
+    """The window summand e^{-l w0} [K(x,y; l beta) - dyad] (axes as in
+    `_delta_exponent`): vectorised, for the direct stretch, and at one
+    float loop length on Python floats, for the quadrature tail."""
+    def summand(l):
+        dlt = _delta_exponent(l, axes)
+        base = -l * w0 + log_dyad
+        # far in the Gaussian tail the dyad underflows while the kernel
+        # itself is fine; switch to the summed-exponent form there
+        big = dlt > 35.0
+        safe = np.where(big, 0.0, dlt)
+        return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
+
+    def summand_float(l: float) -> float:
+        dlt = 0.0
+        for a, p, m in axes:
+            u = a * l
+            eu = math.exp(-u)
+            dlt = dlt - 0.5 * _log1mexp_float(2.0 * u) \
+                + (p * (eu / (1.0 + eu)) - m * (eu / -math.expm1(-u)))
+        base = -l * w0 + log_dyad
+        if dlt > 35.0:
+            return math.exp(base + dlt)
+        return math.exp(base) * math.expm1(dlt)
+
+    return summand, summand_float
 
 
 def _relax_length(beta, c, sq_plus, sq_minus, hw, dim, rel_tol) -> int:
@@ -110,16 +138,10 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
     l_star = _relax_length(beta, c, sq_plus, sq_minus, hw, trap.dim, ctl.rel_tol)
     # headroom covers the (logarithmically growing) subtracted exponent
     cut = (1500.0 - min(log_dyad, 0.0)) / w0 if w0 > 0.0 else math.inf
-    rates = (beta * hw).tolist() + [w0]
-
-    def summand(l):
-        dlt = _delta_exponent(l, beta, c, sq_plus, sq_minus, hw)
-        base = -l * w0 + log_dyad
-        # far in the Gaussian tail the dyad underflows while the kernel
-        # itself is fine; switch to the summed-exponent form there
-        big = dlt > 35.0
-        safe = np.where(big, 0.0, dlt)
-        return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
+    a = (beta * hw).tolist()
+    axes = list(zip(a, (0.5 * c * sq_plus).tolist(),
+                    (0.5 * c * sq_minus).tolist()))
+    summand, summand_float = _window_summands(axes, w0, log_dyad)
 
     sums = []
     for lo, hi in zip(cuts, cuts[1:]):
@@ -127,8 +149,8 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
         upper = min(hi, l_star)
         if cut < 8e18:
             upper = min(upper, l_lo + int(cut) + 1)
-        sums.append(_series(summand, l_lo, upper, rates, ctl.rel_tol)
-                    if upper >= l_lo else 0.0)
+        sums.append(_series(summand, l_lo, upper, a + [w0], ctl.rel_tol,
+                            summand_float) if upper >= l_lo else 0.0)
     return sums
 
 

@@ -8,7 +8,9 @@ Every loop-length sum of the package (the polylogarithm for xi < 1, the loop
 sums of `thermo`, the windows of `rdm` and the open-trap rdm) is summed by
 `_series`: at most `_DIRECT_CAP` terms directly, the rest by `_em_sum`, an
 endpoint Euler-Maclaurin tail whose quadrature error estimate is checked
-against rel_tol (a TruncationWarning when it is not met).
+against rel_tol (a TruncationWarning when it is not met).  The tail calls its
+integrand at one loop length at a time; the rdm windows (and, in `thermo`,
+nu and Omega) hand it one that runs on Python floats.
 """
 
 from __future__ import annotations
@@ -103,8 +105,12 @@ def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
     v1, v2 = math.log(l1), math.log(l2)
     knots = sorted({min(max(math.log(1.0 / r), v1), v2)
                     for r in rates if r > 0.0})
-    val, err = integrate.quad(lambda v: f(math.exp(v)) * math.exp(v),
-                              v1, v2, points=knots, limit=500,
+
+    def integrand(v: float) -> float:
+        l = math.exp(v)
+        return f(l) * l
+
+    val, err = integrate.quad(integrand, v1, v2, points=knots, limit=500,
                               epsabs=1e-300, epsrel=1e-11)
     d1 = 0.5 * (f(l1 + 1.0) - f(l1 - 1.0))
     d2 = 0.5 * (f(l2 + 1.0) - f(l2 - 1.0))
@@ -114,16 +120,24 @@ def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
     return s
 
 
-def _series(f, l1: int, l2: int, rates, rel_tol: float) -> float:
+def _series(f, l1: int, l2: int, rates, rel_tol: float,
+            f_float=None) -> float:
     """sum_{l=l1}^{l2} f(l) for a vectorised summand f: the first
     `_DIRECT_CAP` terms directly, the rest by `_em_sum` (rates and rel_tol
-    as there).  l2 < l1 gives 0."""
+    as there).  l2 < l1 gives 0.
+
+    The tail integrand is f_float, the same summand at one float loop
+    length, when given (the rdm windows pass one on Python floats), and
+    float(f(l)) otherwise."""
     l_direct = min(l2, l1 + _DIRECT_CAP - 1)
     total = float(np.sum(f(np.arange(l1, l_direct + 1, dtype=float))))
     if l2 == l_direct:
         return total
-    return total + _em_sum(lambda l: float(f(l)), l_direct + 1.0, float(l2),
-                           rates, rel_tol, total)
+    if f_float is None:
+        def f_float(l: float) -> float:
+            return float(f(l))
+    return total + _em_sum(f_float, l_direct + 1.0, float(l2), rates,
+                           rel_tol, total)
 
 
 def _geometric_series(f, alpha: float, ctl: SeriesControl) -> float:

@@ -117,7 +117,8 @@ class TestLoopDecomposition:
     @pytest.mark.parametrize("trap,nu,l_lo,l_hi", [
         (Isotropic(3, 1e-5), 2.4, 1, 1_778_279),
         (Isotropic(3, 1e-5), 2.4, 1_778_280, 2_000_000),
-        (Quasi2D(0.01, 1.0), 2.0, 317, 2_000_000)])
+        (Quasi2D(0.01, 1.0), 2.0, 317, 2_000_000),
+        (Quasi1D(0.3, 1.0), 4.0, 5, 66_910)])
     def test_long_window_matches_direct_sum(self, monkeypatch, trap, nu,
                                             l_lo, l_hi):
         # independent route for the Euler-Maclaurin tail of a window: the
@@ -133,6 +134,64 @@ class TestLoopDecomposition:
         for (x, y), val in zip(points, tail):
             assert val == pytest.approx(
                 _noncond_windows(x, y, eq, cuts)[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("trap,nu", [
+        (Isotropic(3, 1e-5), 2.4), (Quasi1D(0.3, 1.0), 4.0),
+        (Quasi2D(0.01, 1.0), 2.0)])
+    def test_float_summand_matches_array_summand(self, trap, nu):
+        # the tail integrand is the float form of the direct stretch's
+        # vectorised summand; both round the same expression
+        from boseloops.kernels import log_ground_state_product
+        from boseloops.rdm import (_axis_geometry, _delta_exponent,
+                                   _window_summands)
+        eq = _eq(trap, nu)
+        loops = np.unique(np.concatenate([
+            np.arange(1.0, 101.0), np.round(np.logspace(0.0, 12.0, 241))]))
+        c0 = _axis_geometry(np.zeros(3), np.zeros(3), trap)[0][0]
+        # c_0 x_0^2 = 36 puts the dyad deep in its Gaussian tail, where the
+        # summand takes the dlt > 35 form.  The off-diagonal pair has
+        # y_j != 0 on every axis: with y_j = 0 the (x+y)^2 and (x-y)^2
+        # terms cancel to O(e^{-2u}) at large l in either form.
+        deep = np.array([6.0 / math.sqrt(c0), 0.0, 0.0])
+        points = [(np.zeros(3), np.zeros(3)),
+                  (np.array([1.0, 0.5, -0.4]), np.array([0.3, -0.2, 0.1])),
+                  (deep, deep)]
+        for x, y in points:
+            c, sq_plus, sq_minus, hw = _axis_geometry(x, y, trap)
+            axes = list(zip((eq.beta * hw).tolist(),
+                            (0.5 * c * sq_plus).tolist(),
+                            (0.5 * c * sq_minus).tolist()))
+            assert max(a for a, _, _ in axes) * loops[-1] >= 745.0
+            summand, summand_float = _window_summands(
+                axes, eq.beta * eq.gap, log_ground_state_product(x, y, trap))
+            expected = summand(loops)
+            for l, want in zip(loops, expected):
+                assert summand_float(float(l)) == pytest.approx(
+                    want, rel=1e-14, abs=0.0)
+        # the last point, deep, took the dlt > 35 form
+        assert np.max(_delta_exponent(loops, axes)) > 35.0
+
+    def test_window_tails_take_the_float_summand(self, monkeypatch):
+        # the vectorised summand runs once per non-empty window, on its
+        # direct stretch; no tail callback goes through it
+        from boseloops import rdm
+        from boseloops.aniso import additional_q2d, q2d_chi_split
+        ndims = []
+        real = rdm._delta_exponent
+
+        def recorded(l, *args):
+            ndims.append(np.ndim(l))
+            return real(l, *args)
+        monkeypatch.setattr(rdm, "_delta_exponent", recorded)
+        x, y = np.array([1.0, 0.5, 0.0]), np.zeros(3)
+        # windows (0, N] and (N, inf); (N, M] is empty with M = N
+        loop_decompose(x, y, _eq(Isotropic(3, 1e-5), 2.4))
+        assert ndims == [1, 1]
+        ndims.clear()
+        eq = _eq(Quasi2D(0.005, 1.0), 2.0)
+        additional_q2d(x, y, eq)
+        q2d_chi_split(x, y, eq)
+        assert ndims == [1, 1, 1]
 
     def test_window_quadrature_error_is_reported(self, monkeypatch):
         # the window tail warns with its quadrature error estimate when that
