@@ -3,9 +3,9 @@ harmonically trapped ideal Bose gas (isotropic, quasi-1D and quasi-2D)."""
 
 __version__ = "0.1.0"
 
-from .errors import (BoseloopsError, BracketError, ConvergenceError,
-                     DimensionMismatch, DomainError, ModelError, OriginError,
-                     RegimeError, TruncationWarning)
+from .errors import (BoseloopsError, BracketError, DimensionMismatch,
+                     DomainError, ModelError, OriginError, RegimeError,
+                     TruncationWarning)
 from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy,
                       ground_state_product, heat_kernel_1d, kernel_d,
                       mehler_kernel_1d, semigroup_trace)

@@ -25,8 +25,7 @@ import numpy as np
 from . import __version__
 from .aniso import (additional_q2d, classify, meso_q1d, meso_q1d_prediction,
                     q2d_additional_limit, q2d_chi_split)
-from .errors import (BoseloopsError, BracketError, ConvergenceError,
-                     DomainError)
+from .errors import BoseloopsError, BracketError, DomainError
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy
 from .rdm import (condensate_density, loop_decompose, local_density_scaled,
                   noncondensate, rdm_loops, rdm_rescaled, scaled_density_limit)
@@ -408,7 +407,7 @@ def main(argv=None) -> int:
                 print(f"boseloops: IO error: {exc}", file=sys.stderr)
                 return 4
         return 0
-    except (ConvergenceError, BracketError) as exc:
+    except BracketError as exc:
         print(f"boseloops: convergence error: {exc}", file=sys.stderr)
         return 3
     except (BoseloopsError, ValueError, TypeError) as exc:

@@ -9,11 +9,6 @@ class DomainError(BoseloopsError, ValueError):
     """A parameter lies outside its mathematical domain."""
 
 
-class ConvergenceError(BoseloopsError, RuntimeError):
-    """A certified series truncation could not meet its tolerance
-    within the allotted number of terms or iterations."""
-
-
 class DimensionMismatch(BoseloopsError, ValueError):
     """Point dimension does not match the trap dimension."""
 

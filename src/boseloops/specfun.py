@@ -5,11 +5,12 @@ All routines are pure and operate in 64-bit floating point.  Infinite sums
 are truncated with certified tail bounds controlled by `SeriesControl`.
 
 Every loop-length sum of the package (the polylogarithm for xi < 1, the loop
-sums of `thermo`, the windows of `rdm` and the open-trap rdm) is summed by
-`_series`: at most `_DIRECT_CAP` terms directly, the rest by `_em_sum`, an
-endpoint Euler-Maclaurin tail whose quadrature error estimate is checked
-against rel_tol (a TruncationWarning when it is not met).  The tail calls its
-integrand at one loop length at a time; the rdm windows (and, in `thermo`,
+sums of `thermo`, the windows of `rdm` and the open-trap rdm), and every row
+of a `thermo.gbec_band_sum`, is summed by `_series`: at most `_DIRECT_CAP`
+terms directly, the rest by `_em_sum`, an endpoint Euler-Maclaurin tail
+whose quadrature error estimate is checked against rel_tol (a
+TruncationWarning when it is not met).  The tail calls its integrand at one
+loop length at a time; the rdm windows and the band rows (and, in `thermo`,
 nu and Omega) hand it one that runs on Python floats.
 """
 
@@ -27,8 +28,9 @@ from .errors import DomainError, TruncationWarning
 _EULER_GAMMA = 0.5772156649015328606
 
 # longest direct stretch of every loop-length sum (polylog, nu, Omega, the
-# rdm windows and the open-trap rdm); a longer sum, or a trap with an axis
-# that has not relaxed by then, takes the Euler-Maclaurin tail `_em_sum`
+# rdm windows and the open-trap rdm) and of every g-BEC band row; a longer
+# sum, or a trap with an axis that has not relaxed by then, takes the
+# Euler-Maclaurin tail `_em_sum`
 _DIRECT_CAP = 10**4
 
 

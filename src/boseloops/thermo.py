@@ -20,6 +20,10 @@ Python floats, one loop length at a time.
 `solve_gap` inverts nu for the gap by Brent's method on log nu against
 log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
 `mu_open_trap` inverts the open-trap g_d the same way, on log g_d.
+
+`gbec_band_sum` sums occupations over rows of mode levels, each row one
+`specfun._series` (the same direct stretch and tail) of a Bose factor
+times a level weight.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
                       eigenvalue, ground_energy)
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
                       _em_sum, polylog)
-
-_ZETA2 = math.pi**2 / 6.0
 
 # window outside which a nu is considered safely away from a critical value
 CRITICAL_BAND = 1e-6
@@ -69,7 +71,7 @@ def bose(v):
 def _iso_degeneracy(n, d: int):
     """Degeneracy of the isotropic level n in d dimensions."""
     if d == 1:
-        return np.ones_like(n)
+        return 1.0
     if d == 2:
         return n + 1.0
     return (n + 1.0) * (n + 2.0) / 2.0
@@ -374,100 +376,55 @@ def occupation(eq: Equilibrium, s) -> float:
     return trap.kappa_abs ** trap.dim * float(bose(w))
 
 
-def _li2_exp(v: float, ctl: SeriesControl) -> float:
-    """Li_2(e^{-v}) for v > 0 (small-v expansion below 0.05)."""
-    if v < 0.05:
-        return _ZETA2 + v * (math.log(v) - 1.0) - v * v / 4.0 + v**3 / 72.0
-    return polylog(2.0, math.exp(-v), ctl)
+def _band_series(u0: float, a: float, n0: int, n1: int, weight,
+                 rel_tol: float) -> float:
+    """sum_{n=n0}^{n1} weight(n) / (e^{u0 + a n} - 1) for u0, a > 0 by
+    `specfun._series`; its tail takes the summand on Python floats as
+    weight(n) e^{-v} / (1 - e^{-v}), finite for every v = u0 + a n."""
+    def f(n):
+        return weight(n) * bose(u0 + a * n)
 
+    def f_float(n: float) -> float:
+        v = u0 + a * n
+        return weight(n) * math.exp(-v) / -math.expm1(-v)
 
-def _bose_range_sum(u0: float, a: float, n0: int, n1: int,
-                    ctl: SeriesControl, weight_linear: bool = False) -> float:
-    """sum_{n=n0}^{n1} w(n) / (e^{u0 + a n} - 1), w(n) = 1 or n+1.
-
-    Direct for short ranges; Euler-Maclaurin with the exact antiderivatives
-    int bose = log(1-e^{-v}) and int v*bose = -[ -v log(1-e^{-v}) + Li2(e^{-v}) ]
-    for ranges too long to enumerate.
-    """
-    if n1 < n0:
-        return 0.0
-    if n1 - n0 + 1 <= 500_000:
-        n = np.arange(n0, n1 + 1, dtype=float)
-        t = bose(u0 + a * n)
-        if weight_linear:
-            t = (n + 1.0) * t
-        return float(np.sum(t))
-    # direct head so that by the EM stretch f varies slowly per unit step
-    head = _bose_range_sum(u0, a, n0, n0 + 99_999, ctl, weight_linear)
-    n0 = n0 + 100_000
-    v1 = u0 + a * n0
-    v2 = u0 + a * n1
-    f1, f2 = float(bose(v1)), float(bose(v2))
-    # B2 endpoint terms (a/12) f' with f' = -f(1+f); a*f first to stay finite
-    t1 = -(a * f1) * (1.0 + f1) / 12.0
-    t2 = -(a * f2) * (1.0 + f2) / 12.0
-    s_plain = (float(log1mexp(v2)) - float(log1mexp(v1))) / a \
-        + 0.5 * (f1 + f2) + (t2 - t1)
-    if not weight_linear:
-        return head + s_plain
-    # sum (n+1) f = (1/a) [ sum v_n f(v_n) - (u0 - a) sum f(v_n) ]
-    int_vf = (_tail2(v1, ctl) - _tail2(v2, ctl)) / a
-    g1, g2 = v1 * f1, v2 * f2
-    tg1 = (a * f1) / 12.0 + v1 * t1
-    tg2 = (a * f2) / 12.0 + v2 * t2
-    s_vf = int_vf + 0.5 * (g1 + g2) + (tg2 - tg1)
-    return head + (s_vf - (u0 - a) * s_plain) / a
-
-
-def _tail2(v: float, ctl: SeriesControl) -> float:
-    """int_v^inf t bose(t) dt = -v log(1-e^{-v}) + Li2(e^{-v})."""
-    return -v * float(log1mexp(v)) + _li2_exp(v, ctl)
+    return specfun._series(f, n0, n1, [a], rel_tol, f_float)
 
 
 def gbec_band_sum(eq: Equilibrium, epsilon: float) -> float:
     """Sum of occupations over the band 0 < sum_j kappa_j s_j <= epsilon
-    (ground state excluded)."""
+    (ground state excluded), one `_band_series` per row of levels: the
+    isotropic levels, weighted by their degeneracy; for a quasi-1D trap the
+    slow-axis levels at each level n of the perpendicular pair, times its
+    degeneracy n+1; for a quasi-2D trap the levels n of the degenerate
+    pair, weighted by n+1, at each level of the stiff axis."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
-    trap, ctl = eq.trap, eq.ctl
-    a = _axis_rates(eq.beta, trap)
-    kap = np.array(trap.kappas)
-    scale = trap.kappa_abs ** trap.dim
+    trap, rel_tol = eq.trap, eq.ctl.rel_tol
+    a = _axis_rates(eq.beta, trap).tolist()
+    kap = trap.kappas
     w0 = eq.beta * eq.gap
 
     if isinstance(trap, Isotropic):
-        n_hi = int(math.floor(epsilon / kap[0]))
-        if n_hi < 1:
-            return 0.0
-        n = np.arange(1, n_hi + 1, dtype=float)
-        return scale * float(np.sum(_iso_degeneracy(n, trap.d)
-                                    * bose(w0 + a[0] * n)))
-
-    total = 0.0
-    if isinstance(trap, Quasi1D):
+        total = _band_series(w0, a[0], 1, int(math.floor(epsilon / kap[0])),
+                             lambda n: _iso_degeneracy(n, trap.d), rel_tol)
+    elif isinstance(trap, Quasi1D):
         # fast perpendicular pair (kappa_perp = kappa), slow axis 1
+        total = 0.0
         for n_perp in range(int(math.floor(epsilon / kap[1])) + 1):
             s1_hi = int(math.floor((epsilon - kap[1] * n_perp) / kap[0]))
-            s1_lo = 1 if n_perp == 0 else 0
-            inner = _bose_range_sum(w0 + a[1] * n_perp, float(a[0]),
-                                    s1_lo, s1_hi, ctl)
-            total += (n_perp + 1) * inner
+            total += (n_perp + 1) * _band_series(
+                w0 + a[1] * n_perp, a[0], 1 if n_perp == 0 else 0, s1_hi,
+                lambda n: 1.0, rel_tol)
     elif isinstance(trap, Quasi2D):
+        total = 0.0
         for s1 in range(int(math.floor(epsilon / kap[0])) + 1):
             n_hi = int(math.floor((epsilon - kap[0] * s1) / kap[1]))
-            n_lo = 1 if s1 == 0 else 0
-            if n_lo == 1 and n_hi >= 1:
-                # weighted helper counts from 0; subtract the n=0 term
-                inner = _bose_range_sum(w0 + a[0] * s1, float(a[1]),
-                                        0, n_hi, ctl, weight_linear=True)
-                inner -= float(bose(w0 + a[0] * s1))
-            else:
-                inner = _bose_range_sum(w0 + a[0] * s1, float(a[1]),
-                                        n_lo, n_hi, ctl, weight_linear=True)
-            total += inner
+            total += _band_series(w0 + a[0] * s1, a[1], 1 if s1 == 0 else 0,
+                                  n_hi, lambda n: n + 1.0, rel_tol)
     else:  # pragma: no cover
         raise ModelError("unsupported trap model")
-    return scale * total
+    return trap.kappa_abs ** trap.dim * total
 
 
 def mu_open_trap(beta: float, nu: float, d: int,

@@ -12,7 +12,7 @@ from boseloops.errors import (BracketError, DomainError, ModelError,
                               RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
 from boseloops.specfun import DEFAULT_CONTROL
-from boseloops.thermo import (CanonicalTarget, Equilibrium, _bose_range_sum,
+from boseloops.thermo import (CanonicalTarget, Equilibrium, _band_series,
                               _nu_critical_trap, bose, gap_asymptotic,
                               gbec_band_sum, grand_potential, log1mexp,
                               mu_open_trap, nu_critical, nu_eigen_sum, nu_m,
@@ -478,21 +478,55 @@ class TestGapAsymptotics:
         assert deep == pytest.approx(k1 * kp**2 / (beta * numm), rel=1e-12)
 
 
+def _plain(n):
+    return 1.0
+
+
+def _linear(n):
+    return n + 1.0
+
+
+def _fsum_band(u0, a, n0, n1, weight):
+    """math.fsum of weight(n) / (e^{u0 + a n} - 1) over n0..n1, with the
+    Bose factor as e^{-v} / (1 - e^{-v}) so that no term overflows."""
+    n = np.arange(n0, n1 + 1, dtype=float)
+    v = u0 + a * n
+    return math.fsum(weight(n) * np.exp(-v) / -np.expm1(-v))
+
+
 class TestBoseRangeSum:
     def test_against_direct_enumeration(self):
-        # cross the head/Euler-Maclaurin split and compare with brute force
+        # cross the end of the direct stretch and compare with brute force
         u0, a = 0.05, 1e-5
-        n = np.arange(1, 700_001, dtype=float)
-        direct_plain = float(np.sum(1.0 / np.expm1(u0 + a * n)))
-        direct_wt = float(np.sum((n + 1.0) / np.expm1(u0 + a * n)))
-        assert _bose_range_sum(u0, a, 1, 700_000, DEFAULT_CONTROL) \
-            == pytest.approx(direct_plain, rel=1e-9)
-        assert _bose_range_sum(u0, a, 1, 700_000, DEFAULT_CONTROL,
-                               weight_linear=True) \
-            == pytest.approx(direct_wt, rel=1e-9)
+        for weight in (_plain, _linear):
+            assert _band_series(u0, a, 1, 700_000, weight,
+                                DEFAULT_CONTROL.rel_tol) == pytest.approx(
+                _fsum_band(u0, a, 1, 700_000, weight), rel=1e-13, abs=0.0)
 
     def test_empty_range(self):
-        assert _bose_range_sum(0.1, 0.1, 5, 4, DEFAULT_CONTROL) == 0.0
+        assert _band_series(0.1, 0.1, 5, 4, _plain,
+                            DEFAULT_CONTROL.rel_tol) == 0.0
+
+    # every range crosses the 10^4-term direct stretch; on (0.1, 1e-9, 0,
+    # 520_000) with the linear weight, a 10^5-term head plus a closed-form
+    # B2 Euler-Maclaurin tail is 2.2e-10 off
+    @pytest.mark.parametrize("a, n0, n1", [(1e-9, 0, 520_000),
+                                           (1e-6, 1, 250_000),
+                                           (1e-4, 7, 10_500)])
+    @pytest.mark.parametrize("u0", [1e-12, 1e-6, 0.1])
+    def test_against_fsum(self, u0, a, n0, n1):
+        for weight in (_plain, _linear):
+            assert _band_series(u0, a, n0, n1, weight,
+                                DEFAULT_CONTROL.rel_tol) == pytest.approx(
+                _fsum_band(u0, a, n0, n1, weight), rel=1e-13, abs=0.0)
+
+    def test_tail_beyond_exp_overflow(self):
+        # u0 + a n reaches 1000 in the tail, where 1/expm1 would overflow
+        u0, a, n1 = 0.1, 1e-2, 100_000
+        for weight in (_plain, _linear):
+            assert _band_series(u0, a, 0, n1, weight,
+                                DEFAULT_CONTROL.rel_tol) == pytest.approx(
+                _fsum_band(u0, a, 0, n1, weight), rel=1e-13, abs=0.0)
 
 
 class TestOccupationAndBand:
@@ -527,6 +561,35 @@ class TestOccupationAndBand:
                     total += float(np.sum(1.0 / np.expm1(
                         beta * gap + beta * k1 * s + beta * kp * (n1 + n2))))
         assert band == pytest.approx(trap.kappa_abs**3 * total, rel=1e-9)
+
+    def test_quasi2d_band_vs_direct_sum(self):
+        # about 1.9e6 modes: the pair level n (degeneracy n+1) per level s1
+        trap = Quasi2D(0.005, 1.0)
+        beta, eps = 1.0, 0.006
+        eq = Equilibrium.solve(CanonicalTarget(beta, 2.0), trap)
+        k1, kp, _ = trap.kappas
+        terms = []
+        for s1 in range(int(eps / k1) + 1):
+            n_hi = int(math.floor((eps - k1 * s1) / kp))
+            terms.append(_fsum_band(beta * (eq.gap + k1 * s1), beta * kp,
+                                    1 if s1 == 0 else 0, n_hi, _linear))
+        assert gbec_band_sum(eq, eps) == pytest.approx(
+            trap.kappa_abs**3 * math.fsum(terms), rel=1e-13, abs=0.0)
+
+    def test_band_arrays_stay_within_direct_stretch(self, monkeypatch):
+        # 10^7 isotropic levels below epsilon: the Bose factor must never
+        # be evaluated on more than one direct stretch at once
+        sizes = []
+        real_bose = thermo.bose
+
+        def recording_bose(v):
+            sizes.append(np.size(v))
+            return real_bose(v)
+
+        monkeypatch.setattr(thermo, "bose", recording_bose)
+        band = gbec_band_sum(_eq(Isotropic(3, 1e-7), 1e-3), 1.0)
+        assert band > 0.0
+        assert sizes and max(sizes) <= specfun._DIRECT_CAP
 
     def test_band_requires_valid_epsilon(self):
         with pytest.raises(DomainError):
