@@ -10,6 +10,7 @@ Trap models carry the per-axis frequency scalings:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,13 @@ class _Anisotropic:
             raise DomainError("kappa must be positive and kappa_c nonnegative")
         if self.omega1 <= 0 or self.omega_perp <= 0:
             raise DomainError("frequencies must be positive")
+        # kappa_abs is the cube root of the product of the kappa_j
+        k = self.kappas
+        if min(*k, k[0] * k[1] * k[2]) < sys.float_info.min:
+            raise DomainError(
+                f"kappa={self.kappa!r} is too small for kappa_c="
+                f"{self.kappa_c!r}: an axis scaling kappa_j or their product "
+                "falls below the smallest normal float")
 
     @property
     def dim(self) -> int:

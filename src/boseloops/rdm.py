@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -66,15 +68,23 @@ def _delta_exponent(l, axes):
     p = c (x+y)^2 / 2 and m = c (x-y)^2 / 2; with u = a l each axis adds
       -0.5 log(1-e^{-2u}) + p e^{-u}/(1+e^{-u}) - m e^{-u}/(1-e^{-u}),
     which decays like e^{-u}; the cancellation against the dyad is done
-    analytically so no large logs are ever subtracted numerically.
+    analytically so no large logs are ever subtracted numerically.  Axes
+    of equal rate (adjacent in every trap model) share one evaluation of
+    the three functions of u; the axes are still added in order.
     """
     l = np.asarray(l, dtype=float)
     out = np.zeros_like(l)
-    for a, p, m in axes:
+    for a, run in groupby(axes, key=itemgetter(0)):
         u = a * l
         eu = np.exp(-u)
-        out = out - 0.5 * log1mexp(2.0 * u) \
-            + (p * (eu / (1.0 + eu)) - m * (eu / -np.expm1(-u)))
+        half_log = 0.5 * log1mexp(2.0 * u)
+        plus, minus = eu / (1.0 + eu), eu / -np.expm1(-u)
+        # free each rate's arrays before the next rate's are made
+        del u, eu
+        for _, p, m in run:
+            out -= half_log
+            out += p * plus - m * minus
+        del half_log, plus, minus
     return out
 
 
@@ -92,12 +102,15 @@ def _window_summands(axes, w0: float, log_dyad: float):
         return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
 
     def summand_float(l: float) -> float:
-        dlt = 0.0
+        dlt, prev = 0.0, None
         for a, p, m in axes:
-            u = a * l
-            eu = math.exp(-u)
-            dlt = dlt - 0.5 * _log1mexp_float(2.0 * u) \
-                + (p * (eu / (1.0 + eu)) - m * (eu / -math.expm1(-u)))
+            if a != prev:
+                u = a * l
+                eu = math.exp(-u)
+                half_log = 0.5 * _log1mexp_float(2.0 * u)
+                plus, minus = eu / (1.0 + eu), eu / -math.expm1(-u)
+                prev = a
+            dlt = dlt - half_log + (p * plus - m * minus)
         base = -l * w0 + log_dyad
         if dlt > 35.0:
             return math.exp(base + dlt)

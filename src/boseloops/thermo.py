@@ -8,14 +8,17 @@ condensation the gap Delta = E0 - mu becomes tiny and naive truncation would
 need ~1/(beta*Delta) terms.  The gap-independent product
 P_l = prod_j (1-e^{-a_j l})^{-1} is built once per gap solve, in
 `_LoopProduct`, for both series, over one direct stretch l <= L of at most
-`specfun._DIRECT_CAP` = 10^4 loops.  When every axis has relaxed by L (P_l
-within tolerance of 1), the remainder is summed in closed form (a geometric
-series for nu, a logarithm for Omega).  Otherwise, as for the slow axes of
-the anisotropic models and of small-kappa isotropic traps, the remainder
-beyond L is the package's one loop-series tail `specfun._em_sum`: an
-endpoint Euler-Maclaurin tail whose integral is an adaptive quadrature, with
-its error estimate checked against rel_tol; its integrand evaluates log P on
-Python floats, one loop length at a time.
+`specfun._DIRECT_CAP` = 10^4 loops.  Each distinct axis rate is evaluated
+once, on the prefix of loops where its term is a normal float (a_j l below
+about 708.4), so the build takes no exponential of a subnormal and needs no
+clamp.  When every axis has relaxed by L (P_l within tolerance of 1), the
+remainder is summed in closed form (a geometric series for nu, a logarithm
+for Omega).  Otherwise, as for the slow axes of the anisotropic models and
+of small-kappa isotropic traps, the remainder beyond L is the package's one
+loop-series tail `specfun._em_sum`: an endpoint Euler-Maclaurin tail whose
+integral is an adaptive quadrature, with its error estimate checked against
+rel_tol; its integrand evaluates log P on Python floats, one loop length at
+a time, over the axes whose term is still a normal float at L + 1.
 
 `solve_gap` inverts nu for the gap by Brent's method on log nu against
 log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
@@ -29,6 +32,7 @@ times a level weight.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,15 +49,21 @@ CRITICAL_BAND = 1e-6
 
 _LN2 = math.log(2.0)
 
+# e^{-u} is a normal float while u < _NORMAL_EXP (about 708.4);
+# beyond it a loop term log(1 - e^{-u}) is below the smallest normal float
+_NORMAL_EXP = -math.log(sys.float_info.min)
+
 
 def log1mexp(v):
-    """log(1 - e^{-v}) for v > 0, stable near both endpoints."""
+    """log(1 - e^{-v}) for v > 0, stable near both endpoints; each branch
+    runs only on the arguments that take it."""
     v = np.asarray(v, dtype=float)
-    big = v > math.log(2.0)
-    safe_big = np.where(big, v, 1.0)
-    safe_small = np.where(big, 1.0, v)
-    return np.where(big, np.log1p(-np.exp(-safe_big)),
-                    np.log(-np.expm1(-safe_small)))
+    big = v > _LN2
+    small = ~big
+    out = np.empty_like(v)
+    out[big] = np.log1p(-np.exp(-v[big]))
+    out[small] = np.log(-np.expm1(-v[small]))
+    return out
 
 
 def _log1mexp_float(v: float) -> float:
@@ -111,11 +121,18 @@ class _LoopProduct:
     """Gap-independent part of the loop sums for one (beta, trap, ctl): the
     direct length L, the slow axes and log P_l for l = 1..L.
 
-    `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega) add
-    the gap-dependent factor e^{-l w0} and the tail beyond L, so a gap solve
-    builds P_l once for all its trial gaps.  The tail is `_em_sum` up to the
-    loop length where the gap factor has died out; its integrand calls
-    `_log_p` at one loop length at a time, on the rates as Python floats.
+    log P_l = -sum_j log(1 - e^{-a_j l}) is accumulated axis by axis, in
+    axis order.  Axis j is evaluated only on the prefix of loops with
+    a_j l < `_NORMAL_EXP`, where its term is a normal float; beyond it the
+    term is below the smallest normal float, far under half an ulp of the
+    slowest axis's term, so leaving it out moves no bit of log P_l.  Axes
+    of equal rate (adjacent in every trap model) share one evaluation.
+    `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega)
+    add the gap-dependent factor e^{-l w0} and the tail beyond L, so a gap
+    solve builds P_l once for all its trial gaps.  The tail is `_em_sum` up
+    to the loop length where the gap factor has died out; its integrand
+    calls `_log_p` at one loop length at a time, on the rates as Python
+    floats.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
@@ -125,16 +142,33 @@ class _LoopProduct:
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
         self.big_l, self.slow = _split_axes(self.a, ln_fac)
         self.l = np.arange(1, self.big_l + 1, dtype=float)
-        # one axis at a time: no (axes x L) temporaries
+        # one axis at a time: no (axes x L) temporaries; an axis with the
+        # rate of the one before reuses its evaluation
         self.log_p = np.zeros_like(self.l)
-        for a_j in self.a:
-            self.log_p -= log1mexp(np.minimum(a_j * self.l, 745.0))
+        prev = None
+        for a_j in self._rates:
+            if a_j != prev:
+                u = a_j * self.l
+                n = int(np.searchsorted(u, _NORMAL_EXP))
+                term = log1mexp(u[:n])
+                prev = a_j
+            self.log_p[:n] -= term
+        # the axes whose term is still a normal float at the tail's start
+        self._tail_rates = [a_j for a_j in self._rates
+                            if a_j * (self.big_l + 1) < _NORMAL_EXP]
 
     def _log_p(self, l: float) -> float:
-        """log P(l) at a real loop length l, summed over the axes in order."""
-        total = 0.0
-        for a in self._rates:
-            total += _log1mexp_float(min(a * l, 745.0))
+        """log P(l) at a real loop length l >= L, for the tail, summed over
+        the axes in order.  It leaves out the axes whose term is below the
+        smallest normal float at L + 1, far under the slow axes' terms from
+        l = L on; the 745 clamp keeps log P > 0, so Omega's log(P - 1)
+        stays finite."""
+        total, prev = 0.0, None
+        for a in self._tail_rates:
+            if a != prev:
+                term = _log1mexp_float(min(a * l, 745.0))
+                prev = a
+            total += term
         return -total
 
     def _tail(self, log_f, w0: float, log_scale: float, total: float) -> float:

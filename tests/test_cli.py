@@ -144,6 +144,16 @@ class TestExitCodes:
         assert code == 0
         assert out.exists()
 
+    def test_underflowing_axis_kappa(self, tmp_path, capsys):
+        # kappa_1 of this quasi-1D rung underflows: a typed error naming
+        # kappa, not a math domain error from deep in the gap solve
+        code, out = _run(tmp_path, "thermo",
+                         {"model": "quasi1d", "beta": 1, "kappa_c": 1,
+                          "nu": 4, "kappa_ladder": [0.03]})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kappa=0.03" in err and "math domain error" not in err
+
     def test_invalid_config(self, tmp_path):
         bad = dict(THERMO_DOC)
         bad["mu"] = -0.5  # both nu and mu

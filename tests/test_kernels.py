@@ -2,6 +2,7 @@
 expansions and free-particle limits."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,25 @@ class TestTrapModels:
             Quasi1D(0.2, -1.0)
         with pytest.raises(DomainError):
             Quasi2D(0.2, 1.0, omega1=0.0)
+
+    def test_underflowing_axis_kappa_rejected(self):
+        # an axis scaling, or the product whose cube root is kappa_abs,
+        # below the smallest normal float is an error that names kappa.
+        # For Quasi1D kappa_1 = kappa e^{-kappa_c^2/kappa^2} leaves the
+        # normal floats below about 0.0377 kappa_c and the product below
+        # 0.03784 kappa_c; for Quasi2D the product leaves them first, below
+        # about 8.8e-6 kappa_c
+        with pytest.raises(DomainError, match="kappa=0.0376"):
+            Quasi1D(0.0376, 1.0)
+        with pytest.raises(DomainError, match="kappa=0.03 "):
+            Quasi1D(0.03, 1.0)
+        with pytest.raises(DomainError, match="kappa=0.0378"):
+            Quasi1D(0.0378, 1.0)
+        with pytest.raises(DomainError, match="kappa=8.7e-06"):
+            Quasi2D(8.7e-6, 1.0)
+        for trap in (Quasi1D(0.0379, 1.0), Quasi2D(8.9e-6, 1.0)):
+            assert min(trap.kappas) >= sys.float_info.min
+            assert trap.kappa_abs ** 3 >= sys.float_info.min
 
 
 class TestSpectrum:

@@ -171,6 +171,26 @@ class TestLoopDecomposition:
         # the last point, deep, took the dlt > 35 form
         assert np.max(_delta_exponent(loops, axes)) > 35.0
 
+    def test_delta_exponent_evaluates_each_rate_once(self, monkeypatch):
+        # the degenerate soft pair of a quasi-2D trap shares one evaluation
+        from boseloops import rdm
+        from boseloops.rdm import _axis_geometry, _delta_exponent
+        trap = Quasi2D(0.005, 1.0)
+        c, sq_plus, sq_minus, hw = _axis_geometry(
+            np.array([1.0, 0.5, -0.4]), np.array([0.3, -0.2, 0.1]), trap)
+        axes = list(zip(hw.tolist(), (0.5 * c * sq_plus).tolist(),
+                        (0.5 * c * sq_minus).tolist()))
+        assert axes[1][0] == axes[2][0] != axes[0][0]
+        calls = []
+        real = rdm.log1mexp
+
+        def counted(v):
+            calls.append(np.size(v))
+            return real(v)
+        monkeypatch.setattr(rdm, "log1mexp", counted)
+        _delta_exponent(np.arange(1.0, 101.0), axes)
+        assert calls == [100] * 2
+
     def test_window_tails_take_the_float_summand(self, monkeypatch):
         # the vectorised summand runs once per non-empty window, on its
         # direct stretch; no tail callback goes through it

@@ -2,6 +2,7 @@
 asymptotic laws and band sums."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,6 +22,8 @@ from boseloops.thermo import (CanonicalTarget, Equilibrium, _band_series,
 
 ZETA_3 = 1.2020569031595942854
 ZETA_2 = 1.6449340668482264365
+# e^{-u} is a normal float exactly while u is below this (about 708.4)
+NORMAL_EXP = -math.log(sys.float_info.min)
 
 
 def _eq(trap, gap, beta=1.0):
@@ -50,6 +53,22 @@ class TestHelpers:
                                                        rel=1e-9)
         assert float(log1mexp(50.0)) == pytest.approx(-math.exp(-50.0),
                                                       rel=1e-6)
+
+    def test_log1mexp_matches_two_branch_where(self):
+        # each branch computed only where it is taken gives the bits of
+        # both branches computed everywhere and picked by np.where
+        v = np.concatenate([
+            np.logspace(-300.0, math.log10(800.0), 20_001),
+            np.linspace(0.5, 0.9, 4_001),
+            [math.nextafter(math.log(2.0), 0.0), math.log(2.0),
+             math.nextafter(math.log(2.0), 1.0)]])
+        big = v > math.log(2.0)
+        ref = np.where(big, np.log1p(-np.exp(-np.where(big, v, 1.0))),
+                       np.log(-np.expm1(-np.where(big, 1.0, v))))
+        assert big.any() and not big.all()
+        assert np.array_equal(log1mexp(v), ref)
+        assert np.array_equal(log1mexp(v[::-1]), ref[::-1])
+        assert float(log1mexp(v[0])) == ref[0]
 
     def test_bose(self):
         assert float(bose(math.log(2.0))) == pytest.approx(1.0, rel=1e-14)
@@ -140,7 +159,8 @@ class TestLoopProduct:
         return sizes
 
     @pytest.mark.parametrize("trap", [Quasi2D(0.05, 1.0), Quasi1D(0.3, 1.0),
-                                      Isotropic(3, 0.01)])
+                                      Isotropic(3, 0.01), Quasi1D(0.25, 1.0),
+                                      Quasi2D(0.005, 1.0)])
     def test_axis_accumulation_matches_outer_product(self, trap):
         # reference: all axes at once on the (axes x L) grid, summed over axes
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
@@ -150,34 +170,70 @@ class TestLoopProduct:
         assert np.array_equal(prod.log_p, ref)
 
     def test_product_built_once_per_solve(self, monkeypatch):
-        # P_l is gap-independent: one solve builds it once, one axis at a time
+        # P_l is gap-independent: one solve builds it once, one rate at a
+        # time; the degenerate soft pair shares one evaluation
         trap = Quasi2D(0.1, 1.0)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
         assert not prod.slow.any() and prod.big_l == 5_863
+        assert prod.a[0] * prod.big_l < NORMAL_EXP
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 2.0), trap)
-        assert sum(sizes) == 3 * 5_863
+        assert sizes == [5_863] * 2
 
     def test_product_built_once_with_slow_axis(self, monkeypatch):
-        # the quadrature tail that runs per trial gap works on floats
+        # the quadrature tail that runs per trial gap works on floats; the
+        # stiff pair shares one evaluation, which ends where its term
+        # leaves the normal floats
         trap = Quasi1D(0.3, 1.0)
-        assert thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        assert prod.slow.any() and prod.big_l == 10_000
+        stiff = prod.a[1]
+        assert prod.a[2] == stiff
+        n_stiff = int(np.sum(stiff * prod.l < NORMAL_EXP))
+        assert n_stiff == 2_361
+        assert stiff * n_stiff < NORMAL_EXP <= stiff * (n_stiff + 1)
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 4.0), trap)
-        assert sizes == [10_000] * 3
+        assert sizes == [10_000, n_stiff]
+
+    @pytest.mark.parametrize("kappa", [0.4, 0.35, 0.3, 0.25])
+    def test_product_build_takes_no_subnormal_term(self, kappa, monkeypatch):
+        # the q1d-thermo ladder: no argument at or beyond the normal-float
+        # bound of e^{-u} reaches log1mexp while P_l is built
+        seen = []
+        real = thermo.log1mexp
+
+        def recorded(v):
+            seen.append(np.max(v))
+            return real(v)
+        monkeypatch.setattr(thermo, "log1mexp", recorded)
+        thermo._LoopProduct(1.0, Quasi1D(kappa, 1.0), DEFAULT_CONTROL)
+        assert len(seen) == 2 and max(seen) < NORMAL_EXP
+
+    def test_isotropic_product_is_one_evaluation(self, monkeypatch):
+        sizes = self._log1mexp_sizes(monkeypatch)
+        thermo._LoopProduct(1.0, Isotropic(3, 1e-5), DEFAULT_CONTROL)
+        assert sizes == [10_000]
 
     @pytest.mark.parametrize("trap", [Quasi1D(0.3, 1.0), Quasi2D(0.01, 1.0),
                                       Isotropic(3, 1e-5)])
     def test_float_tail_matches_array_form(self, trap):
         # the tail's float form of log P against the numpy form of the
-        # direct stretch, with the same branches and clamp.  libm and
-        # numpy's vectorised exp/log1p/expm1 round differently for about 1
-        # argument in 1000, so a few points may differ in the last bits
+        # direct stretch, with the same branches and clamp, over the axes
+        # the tail keeps: those whose term is a normal float at L + 1.
+        # libm and numpy's vectorised exp/log1p/expm1 round differently for
+        # about 1 argument in 1000, so a few points may differ in the last
+        # bits
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        start = prod.a * (prod.big_l + 1.0)
+        keep = np.abs(log1mexp(np.minimum(start, 745.0))) \
+            >= sys.float_info.min
+        assert np.all(start[~keep] >= NORMAL_EXP)
+        assert (~keep).any() == isinstance(trap, Quasi1D)
         grid = np.logspace(math.log10(1e4 + 1.0), 300.0, 2000)
         differ = 0
         for l in grid.tolist():
-            ref = -np.sum(log1mexp(np.minimum(prod.a * l, 745.0)))
+            ref = -np.sum(log1mexp(np.minimum(prod.a[keep] * l, 745.0)))
             log_p = prod._log_p(l)
             differ += log_p != ref
             assert abs(log_p - ref) <= 2.0 * math.ulp(ref)
