@@ -19,8 +19,8 @@ from .errors import DomainError, ModelError, RegimeError
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel
 from .rdm import _noncond_windows, _window_cutoffs
 from .specfun import DEFAULT_CONTROL, SeriesControl, de_broglie, polylog
-from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
-                     _nu_critical_trap, nu_m)
+from .thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
+                     critical_side, nu_m)
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,8 @@ class AnisotropicRegime:
 
     tag: 'subcritical', 'gbec_only' or 'coexistence' (Quasi1D),
     'supercritical' (Quasi2D); eta = nu/nu_c; critical_boundary marks nu
-    within 1e-6 relative of a critical value, where asymptotic comparisons
-    are unreliable.
+    within the critical band (`thermo.critical_side`) of nu_c or nu_m, where
+    `thermo.gap_asymptotic` raises.
     """
 
     tag: str
@@ -46,10 +46,10 @@ def classify(target: CanonicalTarget, trap: TrapModel,
     beta, nu = target.beta, target.nu
     nu_c = _nu_critical_trap(beta, trap, ctl)
     eta = nu / nu_c
-    boundary = abs(nu - nu_c) < CRITICAL_BAND * nu_c
+    boundary = critical_side(nu, nu_c) == 0
     if isinstance(trap, Quasi1D):
         numm = nu_m(beta, trap, ctl)
-        boundary = boundary or abs(nu - numm) < CRITICAL_BAND * nu_c
+        boundary = boundary or critical_side(nu, numm) == 0
         if nu < nu_c:
             tag = "subcritical"
         elif nu < numm:
@@ -93,33 +93,30 @@ class MesoPrediction:
 
 def meso_q1d_prediction(target: CanonicalTarget, trap: Quasi1D,
                         ctl: SeriesControl = DEFAULT_CONTROL) -> MesoPrediction:
-    """Predicted asymptotics of the Quasi1D mesoscopic sum for nu > nu_c:
-    exponent g_3(1)(eta-1)/(2 (hbar omega_perp kappa beta)^2) below nu_m,
-    omega_c^2/(2 omega_perp^2 kappa^2) above."""
+    """Predicted asymptotics of the Quasi1D mesoscopic sum for nu > nu_c, in
+    the regime of `classify`: exponent g_3(1)(eta-1)/(2 (hbar omega_perp
+    kappa beta)^2) for 'gbec_only', omega_c^2/(2 omega_perp^2 kappa^2) else."""
     if not isinstance(trap, Quasi1D):
         raise ModelError("meso_q1d_prediction requires a Quasi1D trap")
-    beta, nu = target.beta, target.nu
+    beta = target.beta
     consts = trap.consts
-    nu_c = _nu_critical_trap(beta, trap, ctl)
-    numm = nu_m(beta, trap, ctl)
-    if not nu > nu_c:
+    if not target.nu > _nu_critical_trap(beta, trap, ctl):
         raise RegimeError("mesoscopic prediction applies for nu > nu_c")
-    eta = nu / nu_c
-    if nu <= numm:
-        exponent = polylog(3.0, 1.0, ctl) * (eta - 1.0) \
+    regime = classify(target, trap, ctl)
+    if regime.tag == "gbec_only":
+        exponent = polylog(3.0, 1.0, ctl) * (regime.eta - 1.0) \
             / (2.0 * (consts.hbar * trap.omega_perp * trap.kappa * beta) ** 2)
-        regime = "gbec_only"
     else:
         omega_c = trap.omega_perp * trap.kappa_c
         exponent = omega_c**2 / (2.0 * trap.omega_perp**2 * trap.kappa**2)
-        regime = "coexistence"
     kappa_perp = trap.kappas[1]
     lam = de_broglie(beta, consts)
     pref = consts.mass * trap.omega_perp * kappa_perp / (math.sqrt(math.pi)
                                                          * consts.hbar * lam)
     pref_alt = kappa_perp * math.sqrt(consts.mass**3 * trap.omega_perp**2
                                       / (2.0 * math.pi**2 * beta * consts.hbar**4))
-    return MesoPrediction(regime, exponent, math.log(pref), math.log(pref_alt))
+    return MesoPrediction(regime.tag, exponent, math.log(pref),
+                          math.log(pref_alt))
 
 
 def q2d_additional_limit(beta: float, trap: Quasi2D) -> float:

@@ -27,8 +27,9 @@ from .aniso import (additional_q2d, classify, meso_q1d, meso_q1d_prediction,
                     q2d_additional_limit, q2d_chi_split)
 from .errors import BoseloopsError, BracketError, DomainError
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy
-from .rdm import (condensate_density, loop_decompose, local_density_scaled,
-                  noncondensate, rdm_loops, rdm_rescaled, scaled_density_limit)
+from .rdm import (condensate_density, divergence_law, loop_decompose,
+                  local_density_scaled, noncondensate, rdm_loops, rdm_rescaled,
+                  scaled_density_limit)
 from .specfun import PhysicalConstants, SeriesControl
 from .thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
                      gap_asymptotic, gbec_band_sum, nu_m, nu_rescaled,
@@ -139,12 +140,11 @@ def parse_config(doc: dict) -> RunConfig:
     series = doc.get("series", {})
     if not isinstance(series, dict):
         raise DomainError("series must be an object")
-    unknown = sorted(set(series) - {"rel_tol", "abs_tol", "sigma", "sigma2"})
+    unknown = sorted(set(series) - {"rel_tol", "sigma", "sigma2"})
     if unknown:
         raise DomainError(f"unknown series key(s): {', '.join(unknown)}")
     ctl = SeriesControl(
         rel_tol=float(series.get("rel_tol", 1e-10)),
-        abs_tol=float(series.get("abs_tol", 1e-12)),
         sigma=float(series.get("sigma", 1.25)),
         sigma2=float(series.get("sigma2", 0.0)),
     )
@@ -267,6 +267,7 @@ def cmd_profile(cfg: RunConfig) -> ResultTable:
     target = CanonicalTarget(cfg.beta, cfg.nu)
     trap = build_trap(cfg, cfg.kappas[0])
     eq = Equilibrium.solve(target, trap, cfg.ctl)
+    law = divergence_law(cfg.beta, cfg.nu, trap.dim, cfg.consts, cfg.ctl)
 
     def one(r) -> list:
         x = np.zeros(trap.dim)
@@ -277,7 +278,7 @@ def cmd_profile(cfg: RunConfig) -> ResultTable:
         if pred is None:
             return [float(r), val, "no-limit-claimed", "n/a"]
         if math.isinf(pred):
-            return [float(r), val, "divergent:power-law-in-kappa", "n/a"]
+            return [float(r), val, f"divergent:{law}", "n/a"]
         dev = abs(val - pred) / abs(pred) if pred != 0.0 else abs(val)
         return [float(r), val, pred, dev]
 

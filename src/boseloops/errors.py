@@ -23,7 +23,7 @@ class ModelError(BoseloopsError, TypeError):
 
 class RegimeError(BoseloopsError, ValueError):
     """Operation undefined (or ambiguous) in the requested physical regime,
-    e.g. an asymptotic comparison exactly on a critical boundary."""
+    e.g. an asymptotic comparison within a critical band."""
 
 
 class OriginError(DomainError):

@@ -45,8 +45,8 @@ from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, _check_points,
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, _geometric_series, _series, de_broglie,
                       hermite_eigen_table, polylog)
-from .thermo import (CRITICAL_BAND, CanonicalTarget, Equilibrium,
-                     _log1mexp_float, _nu_critical_trap, bose, log1mexp,
+from .thermo import (CanonicalTarget, Equilibrium, _log1mexp_float,
+                     _nu_critical_trap, bose, critical_side, log1mexp,
                      mu_open_trap, nu_critical)
 
 _CRAMER = 1.0865
@@ -203,7 +203,7 @@ def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
 
     Independent of the loop representation; the truncation tail is bounded
     with the uniform sup bound on normalized oscillator eigenfunctions and a
-    TruncationWarning is emitted if the bound exceeds ctl.abs_tol.
+    TruncationWarning is emitted if the bound exceeds ctl.rel_tol of |r|.
     """
     trap, beta, ctl = eq.trap, eq.beta, eq.ctl
     xv, yv = _check_points(x, y, trap)
@@ -237,7 +237,7 @@ def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
     a_min = float(np.min(a))
     tail_bound = sup * trap.dim * float(bose(w0 + a_min * (s_max + 1))) \
         / float(np.prod(-np.expm1(-a)))
-    if tail_bound > ctl.abs_tol:
+    if tail_bound > ctl.rel_tol * abs(val):
         warnings.warn(TruncationWarning(tail_bound))
     return val
 
@@ -315,9 +315,10 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
                   consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Open-trap (kappa -> 0) limit of the reduced density matrix.
 
-    Subcritical: lambda^-d sum_l l^{-d/2} e^{l beta mu0} e^{-pi|x-y|^2/(lambda^2 l)}
-    with mu0 < 0 the open-trap chemical potential.  Above nu_c (d=3), or at and
-    above nu_c (d=2), the limit is +inf; d=3 exactly at nu_c stays finite.
+    Below the critical band of nu_c (every nu for d=1): lambda^-d sum_l
+    l^{-d/2} e^{l beta mu0} e^{-pi|x-y|^2/(lambda^2 l)} with mu0 < 0 the
+    open-trap chemical potential.  +inf where `divergence_law` names a law;
+    d=3 within the band, on both sides of nu_c, takes mu0 = 0.
     """
     if d not in (1, 2, 3):
         raise DomainError("d must be 1, 2 or 3")
@@ -328,16 +329,10 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
     lam = de_broglie(beta, consts)
     q = math.pi * float(np.sum((xv - yv) ** 2)) / lam**2
 
-    if d >= 2:
-        nu_c = nu_critical(beta, d, consts, ctl)
-        if nu > nu_c or (d == 2 and nu >= nu_c * (1.0 - CRITICAL_BAND)):
-            return math.inf
-        if d == 3 and abs(nu - nu_c) < CRITICAL_BAND * nu_c:
-            alpha = 0.0
-        else:
-            alpha = -beta * mu_open_trap(beta, nu, d, consts, ctl=ctl)
-    else:
-        alpha = -beta * mu_open_trap(beta, nu, 1, consts, ctl=ctl)
+    if divergence_law(beta, nu, d, consts, ctl) is not None:
+        return math.inf
+    in_band = critical_side(nu, nu_critical(beta, d, consts, ctl)) == 0
+    alpha = 0.0 if in_band else -beta * mu_open_trap(beta, nu, d, consts, ctl)
 
     half = 0.5 * d
     z = math.exp(-alpha)
@@ -349,7 +344,7 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
     if z < 1.0:
         total = _geometric_series(summand, alpha, ctl)
     else:
-        # z = 1 (d=3 at nu_c): the direct stretch, then the midpoint-rule
+        # z = 1 (d=3 in the band): the direct stretch, then the midpoint-rule
         # tail: the closed form of int_m^inf l^{-3/2} e^{-q/l} dl, m = N + 1/2,
         # plus f'(m)/24; the next term is O(N^{-9/2})
         m = specfun._DIRECT_CAP + 0.5
@@ -365,13 +360,12 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
 def divergence_law(beta: float, nu: float, d: int,
                    consts: PhysicalConstants = DEFAULT_CONSTANTS,
                    ctl: SeriesControl = DEFAULT_CONTROL) -> str | None:
-    """Tag describing how the open-trap rdm diverges, or None if finite."""
-    if d == 1:
-        return None
-    nu_c = nu_critical(beta, d, consts, ctl)
-    if d == 2 and nu >= nu_c * (1.0 - CRITICAL_BAND):
+    """Tag describing how the open-trap rdm diverges, or None if finite: d=2
+    diverges within the critical band of nu_c and above it, d=3 above it."""
+    side = critical_side(nu, nu_critical(beta, d, consts, ctl))
+    if d == 2 and side >= 0:
         return "logarithmic-in-kappa"
-    if d == 3 and nu > nu_c * (1.0 + CRITICAL_BAND):
+    if side > 0:
         return "power-law-in-kappa"
     return None
 
@@ -427,11 +421,10 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     lam = de_broglie(beta, consts)
     v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
-    nu_c = nu_critical(beta, d, consts, ctl)
-
-    if math.isfinite(nu_c) and abs(nu - nu_c) < CRITICAL_BAND * nu_c:
+    side = critical_side(nu, nu_critical(beta, d, consts, ctl))
+    if side == 0:
         raise RegimeError("nu inside the critical band")
-    if nu < nu_c:
+    if side < 0:
         if rescaled:
             return 0.0
         mu0 = mu_open_trap(beta, nu, d, consts, ctl=ctl)

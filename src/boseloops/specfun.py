@@ -2,7 +2,7 @@
 normalized Hermite eigenfunctions, and the package's one loop-series engine.
 
 All routines are pure and operate in 64-bit floating point.  Infinite sums
-are truncated with certified tail bounds controlled by `SeriesControl`.
+are truncated where a certified tail bound falls below their rounding.
 
 Every loop-length sum of the package (the polylogarithm for xi < 1, the loop
 sums of `thermo`, the windows of `rdm` and the open-trap rdm), and every row
@@ -52,20 +52,21 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation and cutoff policy for all infinite sums.
+    """Tolerance and cutoff policy for all infinite sums.
 
-    sigma is the short/macroscopic loop-cutoff exponent (N = floor(kappa^-sigma));
+    rel_tol bounds each tail quadrature's error estimate relative to its sum
+    and sets where a loop factor counts as relaxed.  sigma is the
+    short/macroscopic loop-cutoff exponent (N = floor(kappa^-sigma));
     sigma2 is the second exponent of the anisotropic upper cutoffs
     (M = floor(kappa^-sigma2 e^{...}), see `rdm.loop_decompose`).
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     sigma: float = 1.25
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if self.rel_tol <= 0:
             raise DomainError("tolerances must be positive")
 
 
@@ -73,16 +74,18 @@ DEFAULT_CONTROL = SeriesControl()
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
-def _zeta_em(theta: float, abs_tol: float) -> float:
+def _zeta_em(theta: float) -> float:
     """Direct partial sum of zeta(theta), theta>1, with Euler-Maclaurin tail.
 
     The tail beyond N is the integral N^(1-theta)/(theta-1) plus the half-term
     and the B2 correction; the remainder is bounded by
-    theta*(theta+1)*(theta+2)/720 * N^(-theta-3), which fixes N.
+    theta*(theta+1)*(theta+2)/720 * N^(-theta-3), and N brings it below
+    half an ulp of zeta.
     """
-    # choose N so the certified remainder bound is below abs_tol
+    # half an ulp of 1 is at most half an ulp of zeta > 1
     c = theta * (theta + 1.0) * (theta + 2.0) / 720.0
-    n = max(16, 2 * int(math.ceil((c / abs_tol) ** (1.0 / (theta + 3.0)))))
+    n = max(16, 2 * int(math.ceil((2.0 * c / math.ulp(1.0))
+                                  ** (1.0 / (theta + 3.0)))))
     k = np.arange(1, n + 1, dtype=float)
     partial = float(np.sum(k ** (-theta)))
     tail = n ** (1.0 - theta) / (theta - 1.0) - 0.5 * n ** (-theta) \
@@ -145,22 +148,22 @@ def _series(f, l1: int, l2: int, rates, rel_tol: float,
 def _geometric_series(f, alpha: float, ctl: SeriesControl) -> float:
     """sum_{l>=1} f(l) for a positive vectorised summand with
     f(l) <= e^{-alpha l}, by `_series` up to the first length n at which the
-    geometric tail bound e^{-alpha(n+1)}/(1-e^{-alpha}) falls below
-    ctl.abs_tol and below one ulp of f(1), a lower bound of the sum: the
-    truncation then stays below the rounding of the sum however small the
-    sum is."""
-    log_tol = math.log(min(ctl.abs_tol, math.ulp(float(f(1.0)))))
+    geometric tail bound e^{-alpha(n+1)}/(1-e^{-alpha}) falls below one ulp
+    of f(1), a lower bound of the sum: the truncation then stays below the
+    rounding of the sum however small the sum is."""
+    log_tol = math.log(math.ulp(float(f(1.0))))
     n = math.ceil((log_tol + math.log(-math.expm1(-alpha))) / -alpha)
     return _series(f, 1, n, [alpha], ctl.rel_tol)
 
 
 def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Polylogarithm g_theta(xi) = sum_{n>=1} xi^n / n^theta for real
-    0 <= xi <= 1, with absolute error below ctl.abs_tol.
+    0 <= xi <= 1, truncated below its rounding.
 
-    xi = 1 requires theta > 1 (otherwise the series diverges).  For xi < 1
-    the series stops where its geometric tail bound xi^(n+1)/(1-xi) is below
-    ctl.abs_tol (`_geometric_series`).
+    xi = 1 requires theta > 1 (otherwise the series diverges); `_zeta_em`
+    stops below half an ulp.  For xi < 1 the series stops where its
+    geometric tail bound xi^(n+1)/(1-xi) is below one ulp of the first term
+    (`_geometric_series`).
     """
     if theta <= 0:
         raise DomainError("polylog order must be positive")
@@ -171,7 +174,7 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
     if xi == 1.0:
         if theta <= 1.0:
             raise DomainError("polylog diverges at xi=1 for theta <= 1")
-        return _zeta_em(theta, ctl.abs_tol)
+        return _zeta_em(theta)
     if theta == 1.0:
         return -math.log1p(-xi)
     alpha = -math.log(xi)

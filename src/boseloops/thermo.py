@@ -44,7 +44,7 @@ from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
                       _em_sum, polylog)
 
-# window outside which a nu is considered safely away from a critical value
+# relative half-width of the critical band; read only by `critical_side`
 CRITICAL_BAND = 1e-6
 
 _LN2 = math.log(2.0)
@@ -487,41 +487,41 @@ def mu_open_trap(beta: float, nu: float, d: int,
     return x / beta
 
 
+def critical_side(nu: float, critical: float) -> int:
+    """The one rule of every regime decision: -1 if nu is below the critical
+    number (nu_c or nu_m), 0 within `CRITICAL_BAND` relative of it, +1
+    above.  A critical number of +inf (nu_c for d = 1) is never reached."""
+    if abs(nu - critical) < CRITICAL_BAND * critical:
+        return 0
+    return -1 if nu < critical else 1
+
+
 def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
                    ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Leading-order closed-form prediction for the gap E0 - mu at the
-    trap's kappa, per regime.  Raises RegimeError within the critical band."""
+    trap's kappa, per regime (below nu_c the open-trap -mu0 for every
+    model).  Raises RegimeError within the critical band of nu_c or nu_m."""
     beta, nu = target.beta, target.nu
     nu_c = _nu_critical_trap(beta, trap, ctl)
-    h = trap.consts.hbar
-
-    def check_away(value, name):
-        if math.isfinite(value) and abs(nu - value) < CRITICAL_BAND * value:
-            raise RegimeError(f"nu within the critical band of {name}")
-
-    def open_trap_gap():
+    side = critical_side(nu, nu_c)
+    if side == 0:
+        raise RegimeError("nu within the critical band of nu_c")
+    if side < 0:
         return -mu_open_trap(beta, nu, trap.dim,
                              replace(trap.consts, omega0=trap.omega0), ctl=ctl)
-
-    check_away(nu_c, "nu_c")
     if isinstance(trap, Isotropic):
-        if trap.d == 1 or nu < nu_c:
-            return open_trap_gap()
         return trap.kappa ** trap.d / (beta * (nu - nu_c))
     if isinstance(trap, Quasi1D):
         numm = nu_m(beta, trap, ctl)
-        check_away(numm, "nu_m")
-        if nu < nu_c:
-            return open_trap_gap()
-        if nu < numm:
-            return math.exp(-h * trap.omega1 * beta * (nu - nu_c)
-                            / trap.kappa**2) / beta
+        side = critical_side(nu, numm)
+        if side == 0:
+            raise RegimeError("nu within the critical band of nu_m")
+        if side < 0:
+            return math.exp(-trap.consts.hbar * trap.omega1 * beta
+                            * (nu - nu_c) / trap.kappa**2) / beta
         k1, kp, _ = trap.kappas
         return k1 * kp**2 / (beta * (nu - numm))
     if isinstance(trap, Quasi2D):
-        if nu < nu_c:
-            return open_trap_gap()
         k1, kp, _ = trap.kappas
         return k1 * kp**2 / (beta * (nu - nu_c))
     raise ModelError("unsupported trap model")  # pragma: no cover
-

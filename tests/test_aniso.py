@@ -16,7 +16,7 @@ from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy,
 from boseloops.rdm import _noncond_windows, loop_decompose
 from boseloops.specfun import DEFAULT_CONTROL, SeriesControl, de_broglie
 from boseloops.thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
-                              nu_m)
+                              gap_asymptotic, nu_m)
 
 BETA = 1.0
 
@@ -53,6 +53,26 @@ class TestClassify:
         assert reg.critical_boundary
         assert not classify(CanonicalTarget(BETA, 2.0 * nuc), trap) \
             .critical_boundary
+
+    @pytest.mark.parametrize("trap", [Quasi1D(0.3, 1.0), Quasi2D(0.3, 1.0)])
+    def test_boundary_is_where_gap_asymptotic_raises(self, trap):
+        # both read thermo.critical_side, each band relative to its own
+        # critical number (nu_m's band used to be scaled by nu_c)
+        criticals = [_nu_critical_trap(BETA, trap)]
+        if isinstance(trap, Quasi1D):
+            criticals.append(nu_m(BETA, trap))
+        for crit in criticals:
+            for f in (1 - 2e-6, 1 - 7e-7, 1 - 5e-7, 1.0, 1 + 5e-7, 1 + 8e-7,
+                      1 + 2e-6):
+                target = CanonicalTarget(BETA, f * crit)
+                boundary = classify(target, trap).critical_boundary
+                assert boundary == (abs(f - 1.0) < 1e-6)
+                try:
+                    gap_asymptotic(target, trap)
+                    raised = False
+                except RegimeError:
+                    raised = True
+                assert raised == boundary, (crit, f)
 
     def test_eta(self):
         trap = Quasi2D(0.3, 1.0)
@@ -124,6 +144,19 @@ class TestMesoPrediction:
         # coexistence exponent saturates at omega_c^2/(2 omega_perp^2 kappa^2)
         assert deep.exponent == pytest.approx(1.0 / (2.0 * 0.09), rel=1e-12)
         assert deep.log_value == deep.log_prefactor + deep.exponent
+
+    def test_regime_is_classify_tag(self):
+        # one regime decision: at nu_m exactly both say 'coexistence'
+        trap = Quasi1D(0.3, 1.0)
+        nuc = _nu_critical_trap(BETA, trap)
+        numm = nu_m(BETA, trap)
+        for nu in (1.5 * nuc, numm * (1 - 5e-7), numm, numm * (1 + 5e-7),
+                   2.0 * numm):
+            target = CanonicalTarget(BETA, nu)
+            assert meso_q1d_prediction(target, trap).regime \
+                == classify(target, trap).tag
+        assert meso_q1d_prediction(CanonicalTarget(BETA, numm), trap) \
+            .regime == "coexistence"
 
     def test_prefactor_normalizations_agree(self):
         # the two printed prefactor forms are algebraically identical

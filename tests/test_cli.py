@@ -90,10 +90,12 @@ class TestParseConfig:
                           "series": {"rel-tol": 1e-8}})
         with pytest.raises(DomainError, match="object"):
             parse_config({"kappa": 0.3, "nu": 1.0, "series": "rel_tol"})
-        code, _ = _run(tmp_path, "thermo",
-                       dict(THERMO_DOC, series={"max_terms": 10**5}))
-        assert code == 2
-        assert "max_terms" in capsys.readouterr().err
+        # retired keys fail rather than being ignored
+        for key in ("max_terms", "abs_tol"):
+            code, _ = _run(tmp_path, "thermo",
+                           dict(THERMO_DOC, series={key: 1e-12}), name=key)
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
         # a misspelt key must not run silently with the default value
@@ -258,6 +260,18 @@ class TestOtherCommands:
         assert header == ["x", "value", "prediction", "rel_deviation"]
         assert meta["delta"] == "0.5" and meta["rescaled"] == "1"
         assert all(float(r[-1]) < 0.2 for r in rows)
+
+    def test_profile_divergent_cell(self, tmp_path):
+        # d=3 above nu_c, delta < 1/2, not rescaled: the limit is +inf and
+        # the cell names the law of `divergence_law`
+        doc = {"kappa": 0.05, "nu": 2.0 * 1.2020569031595942, "delta": 0.2,
+               "grid": [0.4]}
+        code, out = _run(tmp_path, "profile", doc)
+        assert code == 0
+        _, header, rows = _parse_csv(out.read_text())
+        assert rows[0][header.index("prediction")] \
+            == "divergent:power-law-in-kappa"
+        assert rows[0][header.index("rel_deviation")] == "n/a"
 
     def test_profile_requires_grid(self, tmp_path):
         doc = {"kappa": 0.05, "nu": 2.0, "delta": 0.5}

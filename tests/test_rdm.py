@@ -307,7 +307,7 @@ class TestOpenTrapLimit:
     @pytest.mark.parametrize("d,nu", [(2, 1.6), (3, 1.2)])
     def test_far_offdiagonal_vs_direct_sum(self, d, nu):
         # |x-y| = 300: the terms peak thousands of loops out and the sum is
-        # far below abs_tol, yet it must hold its own digits; the direct sum
+        # far below 1e-12, yet it must hold its own digits; the direct sum
         # over every loop up to 10^6 (e^{-alpha l} < 1e-500 there) is the
         # independent route
         from boseloops.thermo import mu_open_trap
@@ -356,6 +356,30 @@ class TestOpenTrapLimit:
         val = open_trap_rdm(np.zeros(3), np.zeros(3), 1.0, ZETA_3, 3)
         lam = de_broglie(1.0)
         assert val == pytest.approx(polylog(1.5, 1.0) / lam**3, rel=1e-6)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("f", [1 - 2e-6, 1 - 5e-7, 1.0, 1 + 5e-7, 1 + 2e-6])
+    def test_one_band_rule(self, d, f):
+        # open_trap_rdm is +inf exactly where divergence_law names a law,
+        # and scaled_density_limit raises exactly within the band; d = 3
+        # within the band takes the finite critical value on both sides
+        nu = f * nu_critical(1.0, d)
+        x = np.zeros(d)
+        val = open_trap_rdm(x, x, 1.0, nu, d)
+        law = divergence_law(1.0, nu, d)
+        assert math.isinf(val) == (law is not None)
+        in_band = abs(f - 1.0) < 1e-6
+        assert (law is None) == (f < 1.0 - 1e-6 or (d == 3 and in_band))
+        if d == 3 and in_band:
+            assert val == pytest.approx(
+                polylog(1.5, 1.0) / de_broglie(1.0) ** 3, rel=1e-14)
+        x[0] = 0.5
+        try:
+            scaled_density_limit(x, 1.0, _target(nu), d)
+            raised = False
+        except RegimeError:
+            raised = True
+        assert raised == in_band
 
     def test_divergence_law_tags(self):
         assert divergence_law(1.0, 5.0, 1) is None

@@ -73,6 +73,14 @@ class TestPolylog:
                 assert polylog(theta, xi) == pytest.approx(ref, rel=1e-13,
                                                            abs=0.0)
 
+    @pytest.mark.parametrize("theta", [1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_zeta_vs_mpmath(self, theta):
+        # the Euler-Maclaurin remainder of zeta(theta) stops below half an
+        # ulp, so only the rounding of the direct sum is left
+        with mpmath.workdps(30):
+            ref = float(mpmath.zeta(theta))
+        assert polylog(theta, 1.0) == pytest.approx(ref, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("theta", [0.5, 1.5, 2.5, 3.0])
     def test_small_argument_vs_mpmath(self, theta):
         # g_theta(xi) = xi + xi^2/2^theta + ...: the first term stays exact
@@ -189,6 +197,9 @@ class TestConfigObjects:
     def test_series_control_validation(self):
         with pytest.raises(DomainError):
             SeriesControl(rel_tol=0.0)
+        # the retired absolute tolerance is no field any more
+        with pytest.raises(TypeError):
+            SeriesControl(abs_tol=1e-12)
 
     def test_constants_validation(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,11 @@
 """Thermodynamics tests: dual-route particle numbers, gap solving,
 asymptotic laws and band sums."""
 
+import ast
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from boseloops.errors import (BracketError, DomainError, ModelError,
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
 from boseloops.specfun import DEFAULT_CONTROL
 from boseloops.thermo import (CanonicalTarget, Equilibrium, _band_series,
-                              _nu_critical_trap, bose, gap_asymptotic,
+                              _nu_critical_trap, bose, critical_side,
+                              gap_asymptotic,
                               gbec_band_sum, grand_potential, log1mexp,
                               mu_open_trap, nu_critical, nu_eigen_sum, nu_m,
                               nu_open_trap, nu_rescaled, occupation,
@@ -500,6 +503,33 @@ class TestOpenTrapLaws:
     def test_mu_open_trap_supercritical_rejected(self):
         with pytest.raises(RegimeError):
             mu_open_trap(1.0, 2.0 * ZETA_3, 3)
+
+
+class TestCriticalSide:
+    @pytest.mark.parametrize("factor,side", [
+        (1.0 - 2e-6, -1), (1.0 - 5e-7, 0), (1.0, 0), (1.0 + 5e-7, 0),
+        (1.0 + 2e-6, 1)])
+    def test_three_answers(self, factor, side):
+        assert critical_side(factor * ZETA_3, ZETA_3) == side
+
+    def test_infinite_critical_number_never_reached(self):
+        # nu_c = +inf for d = 1
+        assert critical_side(1e300, math.inf) == -1
+
+    def test_band_read_only_here(self):
+        # one rule: CRITICAL_BAND is named in no other module, and in
+        # thermo only read by critical_side
+        package = Path(thermo.__file__).parent
+        users = sorted(p.name for p in package.glob("*.py")
+                       if "CRITICAL_BAND" in p.read_text())
+        assert users == ["thermo.py"]
+        tree = ast.parse((package / "thermo.py").read_text())
+        readers = {fn.name for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Name)
+                   and node.id == "CRITICAL_BAND"}
+        assert readers == {"critical_side"}
 
 
 class TestGapAsymptotics:
