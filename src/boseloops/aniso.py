@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ModelError, RegimeError
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel
 from .rdm import _noncond_windows, _window_cutoffs
-from .specfun import DEFAULT_CONTROL, SeriesControl, de_broglie, polylog
+from .specfun import de_broglie, polylog
 from .thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
                      critical_side, nu_m)
 
@@ -38,17 +38,17 @@ class AnisotropicRegime:
     critical_boundary: bool
 
 
-def classify(target: CanonicalTarget, trap: TrapModel,
-             ctl: SeriesControl = DEFAULT_CONTROL) -> AnisotropicRegime:
-    """Regime of (beta, nu) relative to nu_c (and nu_m for Quasi1D)."""
+def classify(target: CanonicalTarget, trap: TrapModel) -> AnisotropicRegime:
+    """Regime of (beta, nu) relative to nu_c (and nu_m for Quasi1D), both
+    closed forms in beta and the trap."""
     if isinstance(trap, Isotropic):
         raise ModelError("classify applies to anisotropic traps")
     beta, nu = target.beta, target.nu
-    nu_c = _nu_critical_trap(beta, trap, ctl)
+    nu_c = _nu_critical_trap(beta, trap)
     eta = nu / nu_c
     boundary = critical_side(nu, nu_c) == 0
     if isinstance(trap, Quasi1D):
-        numm = nu_m(beta, trap, ctl)
+        numm = nu_m(beta, trap)
         boundary = boundary or critical_side(nu, numm) == 0
         if nu < nu_c:
             tag = "subcritical"
@@ -78,33 +78,33 @@ def meso_q1d(x, y, eq: Equilibrium) -> float:
 @dataclass(frozen=True)
 class MesoPrediction:
     """Closed-form prediction for log of the Quasi1D mesoscopic sum:
-    log = log_prefactor + exponent.  Two algebraically equivalent prefactor
-    normalizations are reported (see log_prefactor_alt)."""
+    log = log_prefactor + exponent, the prefactor
+    m omega_perp kappa_perp / (sqrt(pi) hbar lambda)."""
 
     regime: str
     exponent: float
     log_prefactor: float
-    log_prefactor_alt: float
 
     @property
     def log_value(self) -> float:
         return self.log_prefactor + self.exponent
 
 
-def meso_q1d_prediction(target: CanonicalTarget, trap: Quasi1D,
-                        ctl: SeriesControl = DEFAULT_CONTROL) -> MesoPrediction:
+def meso_q1d_prediction(target: CanonicalTarget,
+                        trap: Quasi1D) -> MesoPrediction:
     """Predicted asymptotics of the Quasi1D mesoscopic sum for nu > nu_c, in
     the regime of `classify`: exponent g_3(1)(eta-1)/(2 (hbar omega_perp
-    kappa beta)^2) for 'gbec_only', omega_c^2/(2 omega_perp^2 kappa^2) else."""
+    kappa beta)^2) for 'gbec_only', omega_c^2/(2 omega_perp^2 kappa^2) else.
+    A closed form: no series control is taken."""
     if not isinstance(trap, Quasi1D):
         raise ModelError("meso_q1d_prediction requires a Quasi1D trap")
     beta = target.beta
     consts = trap.consts
-    if not target.nu > _nu_critical_trap(beta, trap, ctl):
+    if not target.nu > _nu_critical_trap(beta, trap):
         raise RegimeError("mesoscopic prediction applies for nu > nu_c")
-    regime = classify(target, trap, ctl)
+    regime = classify(target, trap)
     if regime.tag == "gbec_only":
-        exponent = polylog(3.0, 1.0, ctl) * (regime.eta - 1.0) \
+        exponent = polylog(3.0, 1.0) * (regime.eta - 1.0) \
             / (2.0 * (consts.hbar * trap.omega_perp * trap.kappa * beta) ** 2)
     else:
         omega_c = trap.omega_perp * trap.kappa_c
@@ -113,10 +113,7 @@ def meso_q1d_prediction(target: CanonicalTarget, trap: Quasi1D,
     lam = de_broglie(beta, consts)
     pref = consts.mass * trap.omega_perp * kappa_perp / (math.sqrt(math.pi)
                                                          * consts.hbar * lam)
-    pref_alt = kappa_perp * math.sqrt(consts.mass**3 * trap.omega_perp**2
-                                      / (2.0 * math.pi**2 * beta * consts.hbar**4))
-    return MesoPrediction(regime.tag, exponent, math.log(pref),
-                          math.log(pref_alt))
+    return MesoPrediction(regime.tag, exponent, math.log(pref))
 
 
 def q2d_additional_limit(beta: float, trap: Quasi2D) -> float:

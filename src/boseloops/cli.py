@@ -203,12 +203,12 @@ def cmd_thermo(cfg: RunConfig) -> ResultTable:
             mu = cfg.mu
             eq = Equilibrium(cfg.beta, trap, cfg.ctl, ground_energy(trap) - mu)
             nu = nu_rescaled(eq)
-        nu_c = _nu_critical_trap(cfg.beta, trap, cfg.ctl)
+        nu_c = _nu_critical_trap(cfg.beta, trap)
         row = [kappa, mu, eq.gap, nu, occupation(eq, (0,) * trap.dim),
                gbec_band_sum(eq, epsilon),
                "divergent:d1-no-critical-number" if math.isinf(nu_c) else nu_c]
         if cfg.model == "quasi1d":
-            row.append(nu_m(cfg.beta, trap, cfg.ctl))
+            row.append(nu_m(cfg.beta, trap))
         return row
 
     rows = [one(kappa) for kappa in cfg.kappas]
@@ -267,7 +267,7 @@ def cmd_profile(cfg: RunConfig) -> ResultTable:
     target = CanonicalTarget(cfg.beta, cfg.nu)
     trap = build_trap(cfg, cfg.kappas[0])
     eq = Equilibrium.solve(target, trap, cfg.ctl)
-    law = divergence_law(cfg.beta, cfg.nu, trap.dim, cfg.consts, cfg.ctl)
+    law = divergence_law(cfg.beta, cfg.nu, trap.dim, cfg.consts)
 
     def one(r) -> list:
         x = np.zeros(trap.dim)
@@ -301,8 +301,7 @@ def cmd_loops(cfg: RunConfig) -> ResultTable:
         dec = loop_decompose(x, y, Equilibrium.solve(target, trap, cfg.ctl))
         scale = trap.kappa_abs ** (trap.dim / 2.0)
         pred = condensate_density(cfg.beta, cfg.nu, trap.dim,
-                                  replace(cfg.consts, omega0=trap.omega0),
-                                  cfg.ctl)
+                                  replace(cfg.consts, omega0=trap.omega0))
         macro_cut = dec.macro_cutoff
         return [kappa, dec.short_cutoff,
                 macro_cut if math.isfinite(macro_cut) else "divergent:beyond-2^62",
@@ -327,12 +326,12 @@ def cmd_aniso_check(cfg: RunConfig) -> ResultTable:
         trap = build_trap(cfg, kappa)
         x = _point(cfg, "x", trap.dim)
         y = _point(cfg, "y", trap.dim)
-        regime = classify(target, trap, cfg.ctl)
+        regime = classify(target, trap)
         if cfg.model == "quasi1d":
             if regime.tag == "subcritical":
                 return [kappa, regime.tag, regime.eta, "n/a", "n/a", "n/a"]
             logv = meso_q1d(x, y, Equilibrium.solve(target, trap, cfg.ctl))
-            pred = meso_q1d_prediction(target, trap, cfg.ctl)
+            pred = meso_q1d_prediction(target, trap)
             return [kappa, regime.tag, regime.eta, logv, pred.exponent,
                     pred.log_prefactor]
         eq = Equilibrium.solve(target, trap, cfg.ctl)

@@ -329,9 +329,9 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
     lam = de_broglie(beta, consts)
     q = math.pi * float(np.sum((xv - yv) ** 2)) / lam**2
 
-    if divergence_law(beta, nu, d, consts, ctl) is not None:
+    if divergence_law(beta, nu, d, consts) is not None:
         return math.inf
-    in_band = critical_side(nu, nu_critical(beta, d, consts, ctl)) == 0
+    in_band = critical_side(nu, nu_critical(beta, d, consts)) == 0
     alpha = 0.0 if in_band else -beta * mu_open_trap(beta, nu, d, consts, ctl)
 
     half = 0.5 * d
@@ -358,11 +358,11 @@ def open_trap_rdm(x, y, beta: float, nu: float, d: int,
 
 
 def divergence_law(beta: float, nu: float, d: int,
-                   consts: PhysicalConstants = DEFAULT_CONSTANTS,
-                   ctl: SeriesControl = DEFAULT_CONTROL) -> str | None:
+                   consts: PhysicalConstants = DEFAULT_CONSTANTS) -> str | None:
     """Tag describing how the open-trap rdm diverges, or None if finite: d=2
-    diverges within the critical band of nu_c and above it, d=3 above it."""
-    side = critical_side(nu, nu_critical(beta, d, consts, ctl))
+    diverges within the critical band of nu_c and above it, d=3 above it.
+    It reads nu_c alone, so it takes no series control."""
+    side = critical_side(nu, nu_critical(beta, d, consts))
     if d == 2 and side >= 0:
         return "logarithmic-in-kappa"
     if side > 0:
@@ -393,13 +393,12 @@ def local_density_scaled(x, delta: float, eq: Equilibrium,
 
 
 def condensate_density(beta: float, nu: float, d: int,
-                       consts: PhysicalConstants = DEFAULT_CONSTANTS,
-                       ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+                       consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Open-trap condensate density, the kappa->0 limit of the rescaled
     diagonal rdm at the trap centre:
     2^{d/2} (hbar omega0 beta)^{d/2} (nu - nu_c) / lambda^d, and 0 unless
-    nu > nu_c."""
-    nu_c = nu_critical(beta, d, consts, ctl)
+    nu > nu_c; a closed form, with no series control."""
+    nu_c = nu_critical(beta, d, consts)
     if not nu > nu_c:
         return 0.0
     return 2.0 ** (d / 2.0) * (consts.hbar * consts.omega0 * beta) ** (d / 2.0) \
@@ -421,7 +420,7 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     lam = de_broglie(beta, consts)
     v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
-    side = critical_side(nu, nu_critical(beta, d, consts, ctl))
+    side = critical_side(nu, nu_critical(beta, d, consts))
     if side == 0:
         raise RegimeError("nu inside the critical band")
     if side < 0:
@@ -433,7 +432,7 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
 
     # supercritical
     if rescaled:
-        amp = condensate_density(beta, nu, d, consts, ctl)
+        amp = condensate_density(beta, nu, d, consts)
         if delta < 0.5:
             return amp
         if delta == 0.5:
@@ -445,7 +444,7 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
     if delta == 1.0:
         return polylog(d / 2.0, math.exp(-beta * v_x), ctl) / lam**d
     if d == 3 and delta > 0.5:
-        return polylog(1.5, 1.0, ctl) / lam**3
+        return polylog(1.5, 1.0) / lam**3
     return math.inf
 
 
@@ -478,24 +477,24 @@ class BarometricRadii:
     printed_form_consistent: bool
 
 
-def barometric_radii(target: CanonicalTarget, trap: TrapModel,
-                     ctl: SeriesControl = DEFAULT_CONTROL) -> BarometricRadii:
+def barometric_radii(target: CanonicalTarget, trap: TrapModel) -> BarometricRadii:
     """<x_j^2> of the two supercritical open-trap profiles in closed form.
 
     Thermal profile: g_{d/2}(e^{-beta V(r)}); condensate profile:
-    e^{-m omega0 r^2 / hbar}.  Requires d in {2,3} and nu > nu_c.
+    e^{-m omega0 r^2 / hbar}.  Requires d in {2,3} and nu > nu_c.  Only
+    zeta values enter, so no series control is taken.
     """
     consts, d = trap.consts, trap.dim
     if d not in (2, 3):
         raise DomainError("barometric radii require d in {2, 3}")
     beta, nu = target.beta, target.nu
-    nu_c = _nu_critical_trap(beta, trap, ctl)
+    nu_c = _nu_critical_trap(beta, trap)
     if not nu > nu_c:
         raise RegimeError("barometric radii require nu > nu_c")
     omega0 = trap.omega0
     # per axis <x^2> = zeta(d+1)/(2 b zeta(d)), b = beta m omega0^2/2, for
     # g_{d/2}(e^{-b r^2}), and hbar/(2 m omega0) for e^{-m omega0 r^2/hbar}
-    zr = polylog(float(d + 1), 1.0, ctl) / polylog(float(d), 1.0, ctl)
+    zr = polylog(float(d + 1), 1.0) / polylog(float(d), 1.0)
     r2_th = zr / (beta * consts.mass * omega0**2)
     r2_co = consts.hbar / (2.0 * consts.mass * omega0)
     ratio = r2_th / r2_co

@@ -16,6 +16,7 @@ nu and Omega) hand it one that runs on Python floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -52,13 +53,15 @@ class PhysicalConstants:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Tolerance and cutoff policy for all infinite sums.
+    """Tolerance and cutoff policy for the loop-length sums.
 
     rel_tol bounds each tail quadrature's error estimate relative to its sum
     and sets where a loop factor counts as relaxed.  sigma is the
     short/macroscopic loop-cutoff exponent (N = floor(kappa^-sigma));
     sigma2 is the second exponent of the anisotropic upper cutoffs
-    (M = floor(kappa^-sigma2 e^{...}), see `rdm.loop_decompose`).
+    (M = floor(kappa^-sigma2 e^{...}), see `rdm.loop_decompose`).  zeta, the
+    polylogarithm at xi = 1, is summed to half an ulp whatever the control,
+    so the critical numbers nu_c and nu_m take none.
     """
 
     rel_tol: float = 1e-10
@@ -74,13 +77,15 @@ DEFAULT_CONTROL = SeriesControl()
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
+@functools.cache
 def _zeta_em(theta: float) -> float:
     """Direct partial sum of zeta(theta), theta>1, with Euler-Maclaurin tail.
 
     The tail beyond N is the integral N^(1-theta)/(theta-1) plus the half-term
     and the B2 correction; the remainder is bounded by
     theta*(theta+1)*(theta+2)/720 * N^(-theta-3), and N brings it below
-    half an ulp of zeta.
+    half an ulp of zeta.  A constant of theta alone: each theta is summed
+    once per process.
     """
     # half an ulp of 1 is at most half an ulp of zeta > 1
     c = theta * (theta + 1.0) * (theta + 2.0) / 720.0
@@ -161,9 +166,9 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
     0 <= xi <= 1, truncated below its rounding.
 
     xi = 1 requires theta > 1 (otherwise the series diverges); `_zeta_em`
-    stops below half an ulp.  For xi < 1 the series stops where its
-    geometric tail bound xi^(n+1)/(1-xi) is below one ulp of the first term
-    (`_geometric_series`).
+    stops below half an ulp and ctl is not read.  For xi < 1 the series
+    stops where its geometric tail bound xi^(n+1)/(1-xi) is below one ulp of
+    the first term (`_geometric_series`, whose tail takes ctl.rel_tol).
     """
     if theta <= 0:
         raise DomainError("polylog order must be positive")

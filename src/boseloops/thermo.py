@@ -26,7 +26,8 @@ log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
 
 `gbec_band_sum` sums occupations over rows of mode levels, each row one
 `specfun._series` (the same direct stretch and tail) of a Bose factor
-times a level weight.
+times a level degeneracy, along the run of equal axes with the smallest
+kappa_j; the other run, if any, numbers the rows.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -78,11 +81,11 @@ def bose(v):
     return 1.0 / np.expm1(np.asarray(v, dtype=float))
 
 
-def _iso_degeneracy(n, d: int):
-    """Degeneracy of the isotropic level n in d dimensions."""
-    if d == 1:
+def _degeneracy(n, k: int):
+    """Degeneracy of level n of k = 1, 2 or 3 equal axes."""
+    if k == 1:
         return 1.0
-    if d == 2:
+    if k == 2:
         return n + 1.0
     return (n + 1.0) * (n + 2.0) / 2.0
 
@@ -233,7 +236,7 @@ def nu_eigen_sum(eq: Equilibrium, n_max: int = 400) -> float:
     w0 = eq.beta * eq.gap
     if isinstance(trap, Isotropic):
         n = np.arange(0, n_max + 1, dtype=float)
-        val = float(np.sum(_iso_degeneracy(n, trap.d) * bose(w0 + a[0] * n)))
+        val = float(np.sum(_degeneracy(n, trap.d) * bose(w0 + a[0] * n)))
     else:
         grids = np.meshgrid(*[np.arange(0, n_max + 1, dtype=float)] * 3,
                             indexing="ij", sparse=True)
@@ -267,32 +270,32 @@ def nu_open_trap(beta: float, mu: float, d: int,
 
 
 def nu_critical(beta: float, d: int,
-                consts: PhysicalConstants = PhysicalConstants(),
-                ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Critical open-trap number: +inf for d=1, g_d(1)/(hbar omega0 beta)^d else."""
+                consts: PhysicalConstants = PhysicalConstants()) -> float:
+    """Critical open-trap number: +inf for d=1, zeta(d)/(hbar omega0 beta)^d
+    else; it takes no series control (zeta is summed to half an ulp)."""
     if d not in (1, 2, 3):
         raise DomainError("d must be 1, 2 or 3")
     if beta <= 0:
         raise DomainError("beta must be positive")
     if d == 1:
         return math.inf
-    return polylog(float(d), 1.0, ctl) / (consts.hbar * consts.omega0 * beta) ** d
+    return polylog(float(d), 1.0) / (consts.hbar * consts.omega0 * beta) ** d
 
 
-def _nu_critical_trap(beta: float, trap: TrapModel,
-                      ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """nu_c with the trap's effective omega0 (geometric mean for anisotropic)."""
-    return nu_critical(beta, trap.dim, replace(trap.consts, omega0=trap.omega0),
-                       ctl)
+def _nu_critical_trap(beta: float, trap: TrapModel) -> float:
+    """nu_c with the trap's effective omega0 (geometric mean for anisotropic),
+    from beta and the trap alone."""
+    return nu_critical(beta, trap.dim, replace(trap.consts, omega0=trap.omega0))
 
 
-def nu_m(beta: float, trap: TrapModel, ctl: SeriesControl = DEFAULT_CONTROL) -> float:
+def nu_m(beta: float, trap: TrapModel) -> float:
     """Second critical number of the quasi-1D model:
-    nu_c + omega_c^2/(hbar beta omega0^3) with omega_c = omega_perp kappa_c."""
+    nu_c + omega_c^2/(hbar beta omega0^3) with omega_c = omega_perp kappa_c,
+    a closed form in beta and the trap."""
     if not isinstance(trap, Quasi1D):
         raise ModelError("nu_m is defined for the Quasi1D model only")
     omega_c = trap.omega_perp * trap.kappa_c
-    return _nu_critical_trap(beta, trap, ctl) + \
+    return _nu_critical_trap(beta, trap) + \
         omega_c**2 / (trap.consts.hbar * beta * trap.omega0**3)
 
 
@@ -427,37 +430,27 @@ def _band_series(u0: float, a: float, n0: int, n1: int, weight,
 
 def gbec_band_sum(eq: Equilibrium, epsilon: float) -> float:
     """Sum of occupations over the band 0 < sum_j kappa_j s_j <= epsilon
-    (ground state excluded), one `_band_series` per row of levels: the
-    isotropic levels, weighted by their degeneracy; for a quasi-1D trap the
-    slow-axis levels at each level n of the perpendicular pair, times its
-    degeneracy n+1; for a quasi-2D trap the levels n of the degenerate
-    pair, weighted by n+1, at each level of the stiff axis."""
+    (ground state excluded), one `_band_series` per row of levels.  Adjacent
+    axes of equal (kappa_j, rate) form a run, its level n of degeneracy
+    `_degeneracy(n, k)` for k axes; each row runs along the run of the
+    smallest kappa_j, and the other run (quasi-1D: the perpendicular pair,
+    quasi-2D: the stiff axis), if any, numbers the rows."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
     trap, rel_tol = eq.trap, eq.ctl.rel_tol
-    a = _axis_rates(eq.beta, trap).tolist()
-    kap = trap.kappas
+    axes = zip(trap.kappas, _axis_rates(eq.beta, trap).tolist())
+    runs = [(k_j, a_j, len(list(g))) for (k_j, a_j), g in groupby(axes)]
+    if len(runs) > 2:
+        raise ModelError("gbec_band_sum takes at most two runs of equal axes")
+    (k_s, a_s, d_s), *rows = sorted(runs, key=itemgetter(0))
+    k_r, a_r, d_r = rows[0] if rows else (0.0, 0.0, 1)
     w0 = eq.beta * eq.gap
-
-    if isinstance(trap, Isotropic):
-        total = _band_series(w0, a[0], 1, int(math.floor(epsilon / kap[0])),
-                             lambda n: _iso_degeneracy(n, trap.d), rel_tol)
-    elif isinstance(trap, Quasi1D):
-        # fast perpendicular pair (kappa_perp = kappa), slow axis 1
-        total = 0.0
-        for n_perp in range(int(math.floor(epsilon / kap[1])) + 1):
-            s1_hi = int(math.floor((epsilon - kap[1] * n_perp) / kap[0]))
-            total += (n_perp + 1) * _band_series(
-                w0 + a[1] * n_perp, a[0], 1 if n_perp == 0 else 0, s1_hi,
-                lambda n: 1.0, rel_tol)
-    elif isinstance(trap, Quasi2D):
-        total = 0.0
-        for s1 in range(int(math.floor(epsilon / kap[0])) + 1):
-            n_hi = int(math.floor((epsilon - kap[0] * s1) / kap[1]))
-            total += _band_series(w0 + a[0] * s1, a[1], 1 if s1 == 0 else 0,
-                                  n_hi, lambda n: n + 1.0, rel_tol)
-    else:  # pragma: no cover
-        raise ModelError("unsupported trap model")
+    total = 0.0
+    for n in range(int(math.floor(epsilon / k_r)) + 1 if rows else 1):
+        total += _degeneracy(n, d_r) * _band_series(
+            w0 + a_r * n, a_s, 1 if n == 0 else 0,
+            int(math.floor((epsilon - k_r * n) / k_s)),
+            lambda m: _degeneracy(m, d_s), rel_tol)
     return trap.kappa_abs ** trap.dim * total
 
 
@@ -473,7 +466,7 @@ def mu_open_trap(beta: float, nu: float, d: int,
     rhs = nu * (consts.hbar * consts.omega0 * beta) ** d
     if d == 1:
         return _log1mexp_float(rhs) / beta
-    if rhs >= polylog(float(d), 1.0, ctl):
+    if rhs >= polylog(float(d), 1.0):
         raise RegimeError("nu at or above nu_c: no subcritical open-trap mu")
     # log g_d(e^x) is nearly linear in x where g_d(e^x) ~ e^x
     log_rhs = math.log(rhs)
@@ -502,7 +495,7 @@ def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
     trap's kappa, per regime (below nu_c the open-trap -mu0 for every
     model).  Raises RegimeError within the critical band of nu_c or nu_m."""
     beta, nu = target.beta, target.nu
-    nu_c = _nu_critical_trap(beta, trap, ctl)
+    nu_c = _nu_critical_trap(beta, trap)
     side = critical_side(nu, nu_c)
     if side == 0:
         raise RegimeError("nu within the critical band of nu_c")
@@ -512,7 +505,7 @@ def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
     if isinstance(trap, Isotropic):
         return trap.kappa ** trap.d / (beta * (nu - nu_c))
     if isinstance(trap, Quasi1D):
-        numm = nu_m(beta, trap, ctl)
+        numm = nu_m(beta, trap)
         side = critical_side(nu, numm)
         if side == 0:
             raise RegimeError("nu within the critical band of nu_m")

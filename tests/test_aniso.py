@@ -159,13 +159,19 @@ class TestMesoPrediction:
             .regime == "coexistence"
 
     def test_prefactor_normalizations_agree(self):
-        # the two printed prefactor forms are algebraically identical
+        # the two printed prefactor forms are algebraically identical: the
+        # predictor's m omega_perp kappa_perp / (sqrt(pi) hbar lambda) and
+        # kappa_perp sqrt(m^3 omega_perp^2 / (2 pi^2 beta hbar^4))
         for kappa in (0.4, 0.3, 0.25):
             trap = Quasi1D(kappa, 1.0)
             pred = meso_q1d_prediction(
                 CanonicalTarget(BETA, 2.0 * nu_m(BETA, trap)), trap)
-            assert pred.log_prefactor == pytest.approx(
-                pred.log_prefactor_alt, abs=1e-12)
+            c = trap.consts
+            second = trap.kappas[1] * math.sqrt(
+                c.mass**3 * trap.omega_perp**2
+                / (2.0 * math.pi**2 * BETA * c.hbar**4))
+            assert pred.log_prefactor == pytest.approx(math.log(second),
+                                                       abs=1e-12)
 
     def test_subcritical_rejected(self):
         trap = Quasi1D(0.3, 1.0)

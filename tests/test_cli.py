@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from boseloops import thermo
+from boseloops import specfun, thermo
 from boseloops.cli import ResultTable, main, parse_config
 from boseloops.errors import DomainError
 
@@ -213,6 +213,16 @@ class TestThermoCommand:
         assert header[-1] == "nu_m"
         assert float(rows[0][header.index("nu_m")]) \
             > float(rows[0][header.index("nu_c")])
+
+    def test_zeta_summed_once_per_run(self, tmp_path):
+        # a quasi-1D ladder reads nu_c and nu_m in every row (columns and
+        # gap_asymptotic): zeta(3) is summed once for the whole run
+        doc = {"model": "quasi1d", "kappa_ladder": [0.4, 0.35, 0.3, 0.25],
+               "kappa_c": 1.0, "nu": 4.0}
+        specfun._zeta_em.cache_clear()
+        code, _ = _run(tmp_path, "thermo", doc)
+        assert code == 0
+        assert specfun._zeta_em.cache_info().misses == 1
 
     def test_mu_input_mode(self, tmp_path):
         doc = {"model": "isotropic", "d": 3, "kappa": 0.4, "mu": 0.3}

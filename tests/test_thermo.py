@@ -2,6 +2,7 @@
 asymptotic laws and band sums."""
 
 import ast
+import inspect
 import math
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boseloops import specfun, thermo
+from boseloops import aniso, rdm, specfun, thermo
 from boseloops.errors import (BracketError, DomainError, ModelError,
                               RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
@@ -284,6 +285,16 @@ class TestCriticalNumbers:
     def test_nu_m_isotropic_rejected(self):
         with pytest.raises(ModelError):
             nu_m(1.0, Isotropic(3, 0.3))
+
+    @pytest.mark.parametrize("fn", [
+        thermo.nu_critical, thermo._nu_critical_trap, thermo.nu_m,
+        rdm.divergence_law, rdm.condensate_density, rdm.barometric_radii,
+        aniso.classify, aniso.meso_q1d_prediction],
+        ids=lambda fn: fn.__name__)
+    def test_no_series_control(self, fn):
+        # zeta at xi = 1 is summed to half an ulp whatever the control, so
+        # the critical numbers and what reads only them take none
+        assert "ctl" not in inspect.signature(fn).parameters
 
 
 class TestSolvers:
@@ -676,6 +687,17 @@ class TestOccupationAndBand:
         band = gbec_band_sum(_eq(Isotropic(3, 1e-7), 1e-3), 1.0)
         assert band > 0.0
         assert sizes and max(sizes) <= specfun._DIRECT_CAP
+
+    @pytest.mark.parametrize("kappa", [0.2, 0.07])
+    def test_merged_axes_match_isotropic(self, kappa):
+        # kappa_c = 0: all three quasi-1D axes are equal and form one run;
+        # epsilon lies off the level grid of both kappas
+        eps, beta = 0.53, 1.0
+        iso = Equilibrium.solve(CanonicalTarget(beta, 2.0), Isotropic(3, kappa))
+        q1d = Equilibrium(beta, Quasi1D(kappa, 0.0), DEFAULT_CONTROL, iso.gap)
+        assert nu_rescaled(q1d) == pytest.approx(nu_rescaled(iso), rel=1e-14)
+        assert gbec_band_sum(q1d, eps) == pytest.approx(
+            gbec_band_sum(iso, eps), rel=1e-14)
 
     def test_band_requires_valid_epsilon(self):
         with pytest.raises(DomainError):
