@@ -52,25 +52,31 @@ from .thermo import (CanonicalTarget, Equilibrium, _log1mexp_float,
 _CRAMER = 1.0865
 
 
-def _axis_geometry(x, y, trap: TrapModel):
-    """Per-axis oscillator constants c_j = m omega_j kappa_j / hbar and the
-    squared sum/difference coordinates."""
+def _kernel_axes(x, y, beta: float, trap: TrapModel) -> list:
+    """Per axis the floats (a, q, s) of `_delta_exponent`: the rate
+    a = beta hbar omega kappa, q = 2 c x y and s = c (x-y)^2, with
+    c = m omega kappa / hbar; q is formed from x y itself."""
     x, y = _check_points(x, y, trap)
     wk = axis_omega_kappa(trap)
     c = trap.consts.mass * wk / trap.consts.hbar
-    return c, (x + y) ** 2, (x - y) ** 2, trap.consts.hbar * wk
+    return list(zip((beta * (trap.consts.hbar * wk)).tolist(),
+                    (2.0 * c * (x * y)).tolist(), (c * (x - y) ** 2).tolist()))
 
 
 def _delta_exponent(l, axes):
     """log[ K(l beta) / dyad ] as a function of loop length l (vectorized).
 
-    axes holds per axis the floats a = beta hbar omega kappa,
-    p = c (x+y)^2 / 2 and m = c (x-y)^2 / 2; with u = a l each axis adds
-      -0.5 log(1-e^{-2u}) + p e^{-u}/(1+e^{-u}) - m e^{-u}/(1-e^{-u}),
+    axes holds per axis the floats (a, q, s) of `_kernel_axes`; with
+    u = a l each axis adds the Mehler exponent
+      -0.5 log(1-e^{-2u}) + e^{-u} [q - (q + s) e^{-u}] / (1-e^{-2u})
+      = -0.5 log(1-e^{-2u}) + q e^{-u}/(1+e^{-u}) - s e^{-2u}/(1-e^{-2u}),
     which decays like e^{-u}; the cancellation against the dyad is done
-    analytically so no large logs are ever subtracted numerically.  Axes
-    of equal rate (adjacent in every trap model) share one evaluation of
-    the three functions of u; the axes are still added in order.
+    analytically so no large logs are ever subtracted numerically.  In the
+    second form the two terms cancel only where the exponent itself is
+    near 0: on an axis with y = 0 the q term is exactly 0 and on the
+    diagonal x = y the s term is.  Axes of equal rate (adjacent in every
+    trap model) share one evaluation of the functions of u; the axes are
+    still added in order.
     """
     l = np.asarray(l, dtype=float)
     out = np.zeros_like(l)
@@ -78,12 +84,15 @@ def _delta_exponent(l, axes):
         u = a * l
         eu = np.exp(-u)
         half_log = 0.5 * log1mexp(2.0 * u)
+        # e^{-2u}/(1-e^{-2u}) = e^{-u}/(1+e^{-u}) * e^{-u}/(1-e^{-u}), in
+        # place: no more arrays alive than the two fractions need
         plus, minus = eu / (1.0 + eu), eu / -np.expm1(-u)
+        minus *= plus
         # free each rate's arrays before the next rate's are made
         del u, eu
-        for _, p, m in run:
+        for _, q, s in run:
             out -= half_log
-            out += p * plus - m * minus
+            out += q * plus - s * minus
         del half_log, plus, minus
     return out
 
@@ -103,14 +112,15 @@ def _window_summands(axes, w0: float, log_dyad: float):
 
     def summand_float(l: float) -> float:
         dlt, prev = 0.0, None
-        for a, p, m in axes:
+        for a, q, s in axes:
             if a != prev:
                 u = a * l
                 eu = math.exp(-u)
                 half_log = 0.5 * _log1mexp_float(2.0 * u)
-                plus, minus = eu / (1.0 + eu), eu / -math.expm1(-u)
+                plus = eu / (1.0 + eu)
+                minus = plus * (eu / -math.expm1(-u))
                 prev = a
-            dlt = dlt - half_log + (p * plus - m * minus)
+            dlt = dlt - half_log + (q * plus - s * minus)
         base = -l * w0 + log_dyad
         if dlt > 35.0:
             return math.exp(base + dlt)
@@ -119,14 +129,17 @@ def _window_summands(axes, w0: float, log_dyad: float):
     return summand, summand_float
 
 
-def _relax_length(beta, c, sq_plus, sq_minus, hw, dim, rel_tol) -> int:
+def _relax_length(axes, rel_tol) -> int:
     """Loop length beyond which every dyad-subtracted factor is below
-    rel_tol/(3d) in log, so the summand is negligible relative to the dyad."""
+    rel_tol/(3d) in log, so the summand is negligible relative to the dyad;
+    axes as in `_delta_exponent`, whose amplitude 1 + c((x+y)^2 + (x-y)^2)
+    is 1 + 2(q + s)."""
+    dim = len(axes)
     worst = 1.0
-    for j in range(dim):
-        amp = 1.0 + c[j] * (sq_plus[j] + sq_minus[j])
+    for a, q, s in axes:
+        amp = 1.0 + 2.0 * (q + s)
         u_star = math.log(max(math.e, amp * 3.0 * dim / rel_tol))
-        worst = max(worst, u_star / (beta * hw[j]))
+        worst = max(worst, u_star / a)
     return int(math.ceil(worst))
 
 
@@ -145,15 +158,13 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
     if cuts[0] < 0:
         raise DomainError("loop lengths start at 1")
     beta, trap, ctl = eq.beta, eq.trap, eq.ctl
-    c, sq_plus, sq_minus, hw = _axis_geometry(x, y, trap)
+    axes = _kernel_axes(x, y, beta, trap)
     log_dyad = log_ground_state_product(x, y, trap)
     w0 = beta * eq.gap
-    l_star = _relax_length(beta, c, sq_plus, sq_minus, hw, trap.dim, ctl.rel_tol)
+    l_star = _relax_length(axes, ctl.rel_tol)
     # headroom covers the (logarithmically growing) subtracted exponent
     cut = (1500.0 - min(log_dyad, 0.0)) / w0 if w0 > 0.0 else math.inf
-    a = (beta * hw).tolist()
-    axes = list(zip(a, (0.5 * c * sq_plus).tolist(),
-                    (0.5 * c * sq_minus).tolist()))
+    a = [a_j for a_j, _, _ in axes]
     summand, summand_float = _window_summands(axes, w0, log_dyad)
 
     sums = []

@@ -11,14 +11,20 @@ P_l = prod_j (1-e^{-a_j l})^{-1} is built once per gap solve, in
 `specfun._DIRECT_CAP` = 10^4 loops.  Each distinct axis rate is evaluated
 once, on the prefix of loops where its term is a normal float (a_j l below
 about 708.4), so the build takes no exponential of a subnormal and needs no
-clamp.  When every axis has relaxed by L (P_l within tolerance of 1), the
-remainder is summed in closed form (a geometric series for nu, a logarithm
-for Omega).  Otherwise, as for the slow axes of the anisotropic models and
-of small-kappa isotropic traps, the remainder beyond L is the package's one
+clamp.  Beyond L, P_l = 1 + (P_l - 1): the P_l = 1 part is summed in closed
+form for every trap (for nu the geometric series of the ground-state
+occupation, the trace analogue of `rdm`'s dyad; for Omega a logarithm over
+all l).  When every axis has relaxed by L (P_l within tolerance of 1), that
+is all.  Otherwise, as for the slow axes of the anisotropic models and of
+small-kappa isotropic traps, the P_l - 1 part beyond L is the package's one
 loop-series tail `specfun._em_sum`: an endpoint Euler-Maclaurin tail whose
 integral is an adaptive quadrature, with its error estimate checked against
-rel_tol; its integrand evaluates log P on Python floats, one loop length at
-a time, over the axes whose term is still a normal float at L + 1.
+rel_tol.  Its integrand, shared by nu (weight 1) and Omega (weight 1/l),
+evaluates log P on Python floats, one loop length at a time, over the axes
+whose term is still a normal float at L + 1; it decays like
+e^{-(w0 + a_min) l}, and the tail ends after 2000 + |log scale| e-folds of
+that decay, so the quadrature never has to resolve the gap's cut-off
+e^{-l w0} of the ground-state part.
 
 `solve_gap` inverts nu for the gap by Brent's method on log nu against
 log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
@@ -131,9 +137,9 @@ class _LoopProduct:
     slowest axis's term, so leaving it out moves no bit of log P_l.  Axes
     of equal rate (adjacent in every trap model) share one evaluation.
     `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega)
-    add the gap-dependent factor e^{-l w0} and the tail beyond L, so a gap
-    solve builds P_l once for all its trial gaps.  The tail is `_em_sum` up
-    to the loop length where the gap factor has died out; its integrand
+    add the gap-dependent factor e^{-l w0}, the exact sum of the P_l = 1
+    part beyond L and, with slow axes, the one `_tail` of P_l - 1, so a gap
+    solve builds P_l once for all its trial gaps.  The tail's integrand
     calls `_log_p` at one loop length at a time, on the rates as Python
     floats.
     """
@@ -164,36 +170,46 @@ class _LoopProduct:
         """log P(l) at a real loop length l >= L, for the tail, summed over
         the axes in order.  It leaves out the axes whose term is below the
         smallest normal float at L + 1, far under the slow axes' terms from
-        l = L on; the 745 clamp keeps log P > 0, so Omega's log(P - 1)
-        stays finite."""
+        l = L on."""
         total, prev = 0.0, None
         for a in self._tail_rates:
             if a != prev:
-                term = _log1mexp_float(min(a * l, 745.0))
+                term = _log1mexp_float(a * l)
                 prev = a
             total += term
         return -total
 
-    def _tail(self, log_f, w0: float, log_scale: float, total: float) -> float:
-        """sum_{l>L} e^{log_f(l)}, ending where the gap factor
-        e^{log_scale - l w0} carried by log_f has died out."""
-        def f(l: float) -> float:
-            val = log_f(l)
-            return math.exp(val) if val > -745.0 else 0.0
+    def _tail(self, w0: float, log_scale: float, per_loop: bool,
+              total: float) -> float:
+        """sum_{l>L} e^{log_scale - l w0} (P_l - 1), times 1/l if per_loop.
 
-        l_max = min(1e306, (2000.0 + abs(log_scale)) / w0)
+        The summand is exp(log_scale - l w0 + log P) (1 - 1/P), every scale
+        inside the one exponent; it decays like e^{-(w0 + a_min) l}, a_min
+        the slowest rate, and the tail ends where it has taken
+        2000 + |log_scale| e-folds of that decay."""
+        def f(l: float) -> float:
+            log_p = self._log_p(l)
+            val = log_scale - l * w0 + log_p
+            if per_loop:
+                val -= math.log(l)
+            return math.exp(val) * -math.expm1(-log_p) if val > -745.0 \
+                else 0.0
+
+        l_max = min(1e306, (2000.0 + abs(log_scale))
+                    / (w0 + min(self._rates)))
         return _em_sum(f, self.big_l + 1.0, l_max, self._rates + [w0],
                        self.rel_tol, total)
 
     def sum(self, w0: float, log_scale: float) -> float:
-        """e^{log_scale} sum_{l>=1} e^{-l w0} P_l."""
+        """e^{log_scale} sum_{l>=1} e^{-l w0} P_l: the direct stretch, the
+        P_l = 1 part beyond L exactly (the ground-state occupation's
+        geometric series) and, with slow axes, the tail of P_l - 1."""
         total = float(np.sum(np.exp(log_scale - self.l * w0 + self.log_p)))
+        total += math.exp(log_scale - (self.big_l + 1) * w0) \
+            / (-math.expm1(-w0))
         if not np.any(self.slow):
-            return total + math.exp(log_scale - (self.big_l + 1) * w0) \
-                / (-math.expm1(-w0))
-        return total + self._tail(
-            lambda l: log_scale - l * w0 + self._log_p(l), w0, log_scale,
-            total)
+            return total
+        return total + self._tail(w0, log_scale, False, total)
 
     def log_partition(self, w0: float) -> float:
         """sum_{l>=1} e^{-l w0} P_l / l: the P_l = 1 part exactly as
@@ -204,20 +220,19 @@ class _LoopProduct:
         total += -float(log1mexp(w0))
         if not np.any(self.slow):
             return total
-
-        def log_f(l: float) -> float:  # log(P - 1) = log P + log(1 - 1/P)
-            log_p = self._log_p(l)
-            return -l * w0 + log_p + _log1mexp_float(log_p) - math.log(l)
-
-        return total + self._tail(log_f, w0, 0.0, total)
+        return total + self._tail(w0, 0.0, True, total)
 
 
 def nu_rescaled(eq: Equilibrium) -> float:
     """Rescaled particle number nu = |kappa|^d sum_l z^l Tr G(l beta).
 
-    The scale factor is applied inside the summation so that nu stays
-    representable even when the slowest axis rate (and with it |kappa|^d)
-    underflows any fixed floating-point window.
+    Tr G(l beta) = e^{-E0 l beta} P_l, and nu is the ground-state
+    occupation's geometric series (the P_l = 1 part, in closed form beyond
+    the direct stretch) plus the loop sum of P_l - 1, whose slow-axis tail
+    is integrated by `_LoopProduct._tail`.  The scale factor is applied
+    inside the summation so that nu stays representable even when the
+    slowest axis rate (and with it |kappa|^d) underflows any fixed
+    floating-point window.
     """
     trap = eq.trap
     log_scale = trap.dim * math.log(trap.kappa_abs)

@@ -141,26 +141,23 @@ class TestLoopDecomposition:
     def test_float_summand_matches_array_summand(self, trap, nu):
         # the tail integrand is the float form of the direct stretch's
         # vectorised summand; both round the same expression
-        from boseloops.kernels import log_ground_state_product
-        from boseloops.rdm import (_axis_geometry, _delta_exponent,
+        from boseloops.kernels import (axis_omega_kappa,
+                                       log_ground_state_product)
+        from boseloops.rdm import (_delta_exponent, _kernel_axes,
                                    _window_summands)
         eq = _eq(trap, nu)
         loops = np.unique(np.concatenate([
             np.arange(1.0, 101.0), np.round(np.logspace(0.0, 12.0, 241))]))
-        c0 = _axis_geometry(np.zeros(3), np.zeros(3), trap)[0][0]
+        c0 = axis_omega_kappa(trap)[0]
         # c_0 x_0^2 = 36 puts the dyad deep in its Gaussian tail, where the
-        # summand takes the dlt > 35 form.  The off-diagonal pair has
-        # y_j != 0 on every axis: with y_j = 0 the (x+y)^2 and (x-y)^2
-        # terms cancel to O(e^{-2u}) at large l in either form.
+        # summand takes the dlt > 35 form
         deep = np.array([6.0 / math.sqrt(c0), 0.0, 0.0])
         points = [(np.zeros(3), np.zeros(3)),
                   (np.array([1.0, 0.5, -0.4]), np.array([0.3, -0.2, 0.1])),
+                  (np.array([1.0, 0.5, 0.0]), np.array([0.0, -0.3, 0.2])),
                   (deep, deep)]
         for x, y in points:
-            c, sq_plus, sq_minus, hw = _axis_geometry(x, y, trap)
-            axes = list(zip((eq.beta * hw).tolist(),
-                            (0.5 * c * sq_plus).tolist(),
-                            (0.5 * c * sq_minus).tolist()))
+            axes = _kernel_axes(x, y, eq.beta, trap)
             assert max(a for a, _, _ in axes) * loops[-1] >= 745.0
             summand, summand_float = _window_summands(
                 axes, eq.beta * eq.gap, log_ground_state_product(x, y, trap))
@@ -171,15 +168,34 @@ class TestLoopDecomposition:
         # the last point, deep, took the dlt > 35 form
         assert np.max(_delta_exponent(loops, axes)) > 35.0
 
+    @pytest.mark.parametrize("u", [1e-8, 1e-5, 1.0, 10.0, 30.0])
+    @pytest.mark.parametrize("x, y", [(math.sqrt(0.6), 0.0), (1.0, 1.0),
+                                      (3.0, 3.0), (1.0, 0.999)],
+                             ids=["y0", "diag", "diag-far", "near-diag"])
+    def test_delta_exponent_vs_mpmath(self, x, y, u):
+        # one axis with c = 1 against the Mehler exponent at 50 digits.
+        # y = 0 (p = m = 0.3 in the (x +- y)^2 form) is where
+        # p e^{-u}/(1+e^{-u}) and m e^{-u}/(1-e^{-u}) cancel (1.1e-4 off at
+        # u = 30); on the diagonal at small u, e^{-u}[2xy - (x^2+y^2)e^{-u}]
+        # cancels instead (4.4e-9 off at x = y = 3, u = 1e-8)
+        import mpmath
+        from boseloops.rdm import _delta_exponent
+        with mpmath.workdps(50):
+            e = mpmath.exp(-mpmath.mpf(u))
+            xm, ym = mpmath.mpf(x), mpmath.mpf(y)
+            mehler = e * (2 * xm * ym - (xm**2 + ym**2) * e) / (1 - e**2)
+            want = float(-mpmath.log(1 - e**2) / 2 + mehler)
+        axes = [(u, 2.0 * x * y, (x - y) ** 2)]
+        got = float(_delta_exponent(np.array([1.0]), axes)[0])
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_delta_exponent_evaluates_each_rate_once(self, monkeypatch):
         # the degenerate soft pair of a quasi-2D trap shares one evaluation
         from boseloops import rdm
-        from boseloops.rdm import _axis_geometry, _delta_exponent
+        from boseloops.rdm import _delta_exponent, _kernel_axes
         trap = Quasi2D(0.005, 1.0)
-        c, sq_plus, sq_minus, hw = _axis_geometry(
-            np.array([1.0, 0.5, -0.4]), np.array([0.3, -0.2, 0.1]), trap)
-        axes = list(zip(hw.tolist(), (0.5 * c * sq_plus).tolist(),
-                        (0.5 * c * sq_minus).tolist()))
+        axes = _kernel_axes(np.array([1.0, 0.5, -0.4]),
+                            np.array([0.3, -0.2, 0.1]), 1.0, trap)
         assert axes[1][0] == axes[2][0] != axes[0][0]
         calls = []
         real = rdm.log1mexp

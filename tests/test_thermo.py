@@ -104,7 +104,8 @@ class TestLoopNumber:
     def test_slow_axis_tail_continuity(self, monkeypatch):
         # these traps relax within 2*10^6 loops but not within the 10^4 of
         # the default direct stretch: the Euler-Maclaurin tail from 10^4 + 1
-        # must agree with the long direct stretch and its geometric tail
+        # must agree with the long direct stretch and its geometric tail,
+        # also at condensed gaps far below the slowest rate
         traps = [Quasi1D(0.4, 1.0), Quasi1D(0.35, 1.0), Quasi2D(0.05, 1.0),
                  Quasi2D(0.03, 1.0), Isotropic(3, 1e-3)]
         em = [thermo._LoopProduct(1.0, t, DEFAULT_CONTROL) for t in traps]
@@ -113,7 +114,7 @@ class TestLoopNumber:
             ref = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
             assert not ref.slow.any() and tail.slow.any()
             log_scale = trap.dim * math.log(trap.kappa_abs)
-            for gap in (1e-2, 1e-6, 1e-12):
+            for gap in (1e-2, 1e-6, 1e-12, 1e-15, 1e-20, 1e-100):
                 assert tail.sum(gap, log_scale) == pytest.approx(
                     ref.sum(gap, log_scale), rel=1e-12, abs=0.0)
 
@@ -136,6 +137,74 @@ class TestLoopNumber:
             ((n + 1.0) * (n + 2.0) / 2.0 * bose(gap + trap.kappa * n)).tolist())
         assert nu_rescaled(_eq(trap, gap)) == pytest.approx(modes, rel=1e-14,
                                                             abs=0.0)
+
+    # nu at gaps 1e-300 ... 1, pinned from the form that integrated all of
+    # e^{-l w0} P_l; Omega where it is a float (for these isotropic traps
+    # |Omega| ~ zeta(4)/kappa^3 is beyond the float range)
+    GAPS = (1e-300, 1e-200, 1e-100, 1e-30, 1e-15, 1e-6, 1e-3, 1.0)
+    EXTREME = [
+        (Isotropic(3, 1e-200),
+         [1.2020569031595743] * 5
+         + [1.2020552582330502, 1.2004161730537273, 0.38699542421019834],
+         None),
+        (Isotropic(3, 1e-300),
+         [1.2020569031595874] * 5
+         + [1.2020552582332626, 1.200416173053506, 0.38699542421019884],
+         None),
+        (Quasi2D(9e-6, 1.0),
+         [1.2020858368940561] + [1.202064305461483] * 4
+         + [1.2020626604607019, 1.200423539717667, 0.3869972636075928],
+         [-5.026737720779513e+304] * 4
+         + [-5.026737720779507e+304, -5.026732137948557e+304,
+            -5.021158699168881e+304, -1.7511097653428388e+304]),
+        (Quasi1D(0.0379, 1.0),
+         [2.252334746876576, 1.9215889991450663, 1.5908433738022973,
+          1.3593214360623598, 1.3097095922609445, 1.2799407143831492,
+          1.2682517304428378, 0.40276437861349007],
+         [-4.612057099732581e+306] * 4
+         + [-4.612057099732574e+306, -4.61205186471541e+306,
+            -4.606866230886869e+306, -1.60130022670154e+306])]
+
+    @pytest.mark.parametrize("trap,nus,omegas", EXTREME,
+                             ids=["iso-1e-200", "iso-1e-300", "q2d-9e-6",
+                                  "q1d-0.0379"])
+    def test_extreme_traps_finite_and_pinned(self, trap, nus, omegas):
+        # slowest rates 1e-200 ... 1.7e-304: the tail's summand keeps every
+        # scale in one exponent, so nothing overflows or warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, gap in enumerate(self.GAPS):
+                eq = _eq(trap, gap)
+                nu = nu_rescaled(eq)
+                assert math.isfinite(nu)
+                assert nu == pytest.approx(nus[i], rel=1e-12, abs=0.0)
+                if omegas is not None:
+                    omega = grand_potential(eq)
+                    assert math.isfinite(omega)
+                    assert omega == pytest.approx(omegas[i], rel=1e-12,
+                                                  abs=0.0)
+
+    @pytest.mark.parametrize("target,trap,limit", [
+        (CanonicalTarget(1.0, 2.0), Quasi2D(0.01, 1.0), 945),
+        (CanonicalTarget(1.0, 2.4), Isotropic(3, 1e-5), 819)],
+        ids=["q2d-0.01", "iso-1e-5"])
+    def test_tail_integrand_calls(self, monkeypatch, target, trap, limit):
+        # the tail integrates only P - 1: the ground-state part is the exact
+        # geometric series, so the quadrature no longer resolves the
+        # e^{-l w0} cut-off (1,890 and 1,638 calls when it integrated P)
+        import scipy.integrate
+
+        calls = []
+        real = scipy.integrate.quad
+
+        def counted(func, *args, **kwargs):
+            def f(v):
+                calls.append(v)
+                return func(v)
+            return real(f, *args, **kwargs)
+        monkeypatch.setattr(scipy.integrate, "quad", counted)
+        solve_gap(target, trap)
+        assert 0 < len(calls) <= limit
 
     def test_extreme_axis_separation(self):
         # longitudinal rate ~1e-175: everything must stay finite and solvable
@@ -223,21 +292,20 @@ class TestLoopProduct:
                                       Isotropic(3, 1e-5)])
     def test_float_tail_matches_array_form(self, trap):
         # the tail's float form of log P against the numpy form of the
-        # direct stretch, with the same branches and clamp, over the axes
+        # direct stretch, with the same branches, over the axes
         # the tail keeps: those whose term is a normal float at L + 1.
         # libm and numpy's vectorised exp/log1p/expm1 round differently for
         # about 1 argument in 1000, so a few points may differ in the last
         # bits
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
         start = prod.a * (prod.big_l + 1.0)
-        keep = np.abs(log1mexp(np.minimum(start, 745.0))) \
-            >= sys.float_info.min
+        keep = np.abs(log1mexp(start)) >= sys.float_info.min
         assert np.all(start[~keep] >= NORMAL_EXP)
         assert (~keep).any() == isinstance(trap, Quasi1D)
         grid = np.logspace(math.log10(1e4 + 1.0), 300.0, 2000)
         differ = 0
         for l in grid.tolist():
-            ref = -np.sum(log1mexp(np.minimum(prod.a[keep] * l, 745.0)))
+            ref = -np.sum(log1mexp(prod.a[keep] * l))
             log_p = prod._log_p(l)
             differ += log_p != ref
             assert abs(log_p - ref) <= 2.0 * math.ulp(ref)
@@ -461,7 +529,7 @@ class TestGrandPotential:
                                                                  rel=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.3, 0.25])
-    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-12, 1e-100])
     def test_slow_axis_vs_mode_sum(self, kappa, gap):
         trap = Quasi1D(kappa, 1.0)
         assert grand_potential(_eq(trap, gap)) == pytest.approx(
