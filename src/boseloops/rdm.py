@@ -15,13 +15,13 @@ The full series is one call of it on [0, inf]; the short/meso/macro
 decomposition and each anisotropic window sum of `aniso` are one call on
 cutoffs from `_window_cutoffs`.  It derives the geometry, the dyad and L*
 once per call, and sums each window, like the open-trap (kappa -> 0)
-series, by the package's one loop-series engine `specfun._series`: its
-first `specfun._DIRECT_CAP` loops directly, the rest by the Euler-Maclaurin
-tail `specfun._em_sum`, whose quadrature error estimate is checked against
+series, by the loop-series engine `specfun._series`: its first
+`specfun._DIRECT_CAP` loops directly, the rest by the Euler-Maclaurin tail
+`specfun._em_sum`, whose quadrature error estimate is checked against
 rel_tol of the sum (a TruncationWarning when it is not met).  The direct
 stretch takes the vectorised window summand; the tail integrates its float
-form (`_window_summands`), which runs on Python floats and `math`.  That is the
-only quadrature: the barometric radii are closed forms.  Every trapped
+form (`_window_summands`), which runs on Python floats and `math`.  That is
+rdm's only quadrature: the barometric radii are closed forms.  Every trapped
 observable takes a `thermo.Equilibrium` and reads its gap, so all windows of
 one (target, trap) share a single solve.
 """

@@ -1,17 +1,22 @@
 """Special functions: polylogarithm, incomplete gamma, thermal wavelength,
-normalized Hermite eigenfunctions, and the package's one loop-series engine.
+normalized Hermite eigenfunctions, and the loop-series engine `_series`.
 
 All routines are pure and operate in 64-bit floating point.  Infinite sums
 are truncated where a certified tail bound falls below their rounding.
 
-Every loop-length sum of the package (the polylogarithm for xi < 1, the loop
-sums of `thermo`, the windows of `rdm` and the open-trap rdm), and every row
-of a `thermo.gbec_band_sum`, is summed by `_series`: at most `_DIRECT_CAP`
-terms directly, the rest by `_em_sum`, an endpoint Euler-Maclaurin tail
-whose quadrature error estimate is checked against rel_tol (a
-TruncationWarning when it is not met).  The tail calls its integrand at one
-loop length at a time; the rdm windows and the band rows (and, in `thermo`,
-nu and Omega) hand it one that runs on Python floats.
+Every loop-length sum of the package has a direct stretch of at most
+`_DIRECT_CAP` terms and an endpoint Euler-Maclaurin tail whose quadrature
+error estimate is checked against rel_tol (a TruncationWarning when it is
+not met).  The polylogarithm for xi < 1, the windows of `rdm`, the
+open-trap rdm and every row of a `thermo.gbec_band_sum` are summed by
+`_series`, whose tail `_em_sum` is an adaptive quadrature that calls its
+integrand at one loop length at a time; the rdm windows and the band rows
+hand it one that runs on Python floats.  Their summands depend on the
+point and the gap, so no tail of theirs is evaluated twice.  The loop sums
+nu and Omega of `thermo` take the same direct stretch and the same
+endpoint terms, but their tail's integrand has a gap-independent factor
+P_l - 1, which `thermo._LoopProduct` tabulates once per gap solve on a
+fixed Gauss-Legendre grid.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ _EULER_GAMMA = 0.5772156649015328606
 
 # longest direct stretch of every loop-length sum (polylog, nu, Omega, the
 # rdm windows and the open-trap rdm) and of every g-BEC band row; a longer
-# sum, or a trap with an axis that has not relaxed by then, takes the
-# Euler-Maclaurin tail `_em_sum`
+# sum, or a trap with an axis that has not relaxed by then, takes an
+# Euler-Maclaurin tail (`_em_sum`, or for nu and Omega the tabulated rule
+# of `thermo._LoopProduct`)
 _DIRECT_CAP = 10**4
 
 
@@ -107,8 +113,8 @@ def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
 
     Warns (TruncationWarning, carrying the estimate) when the quadrature
     error estimate exceeds rel_tol of |total + the sum|, total being what
-    the caller has already summed.  This is the one tail of the package's
-    loop-length sums: `_series` and `thermo._LoopProduct`.
+    the caller has already summed.  This is the tail of `_series`; the loop
+    sums nu and Omega take `thermo._LoopProduct`'s tabulated rule instead.
     """
     if l2 <= l1:
         return f(l1)

@@ -16,22 +16,24 @@ form for every trap (for nu the geometric series of the ground-state
 occupation, the trace analogue of `rdm`'s dyad; for Omega a logarithm over
 all l).  When every axis has relaxed by L (P_l within tolerance of 1), that
 is all.  Otherwise, as for the slow axes of the anisotropic models and of
-small-kappa isotropic traps, the P_l - 1 part beyond L is the package's one
-loop-series tail `specfun._em_sum`: an endpoint Euler-Maclaurin tail whose
-integral is an adaptive quadrature, with its error estimate checked against
-rel_tol.  Its integrand, shared by nu (weight 1) and Omega (weight 1/l),
-evaluates log P on Python floats, one loop length at a time, over the axes
-whose term is still a normal float at L + 1; it decays like
+small-kappa isotropic traps, the P_l - 1 part beyond L is an endpoint
+Euler-Maclaurin tail whose integral is a fixed composite Gauss-Legendre
+rule in log l: `_LoopProduct` tabulates P_l - 1 at its nodes once, with the
+build, so each trial gap's tail, for nu (weight 1) and Omega (weight 1/l)
+alike, is one vectorised exponential and two weighted sums: the 16-point
+rule on every panel, and the 8-point rule, whose difference from it is the
+error estimate checked against rel_tol.  The summand decays like
 e^{-(w0 + a_min) l}, and the tail ends after 2000 + |log scale| e-folds of
-that decay, so the quadrature never has to resolve the gap's cut-off
-e^{-l w0} of the ground-state part.
+that decay, so the rule never has to resolve the gap's cut-off e^{-l w0}
+of the ground-state part.
 
 `solve_gap` inverts nu for the gap by Brent's method on log nu against
 log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
 `mu_open_trap` inverts the open-trap g_d the same way, on log g_d.
 
 `gbec_band_sum` sums occupations over rows of mode levels, each row one
-`specfun._series` (the same direct stretch and tail) of a Bose factor
+`specfun._series` (the same direct stretch, then the adaptive
+Euler-Maclaurin tail `specfun._em_sum`) of a Bose factor
 times a level degeneracy, along the run of equal axes with the smallest
 kappa_j; the other run, if any, numbers the rows.
 """
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter
@@ -47,11 +50,12 @@ from operator import itemgetter
 import numpy as np
 
 from . import specfun
-from .errors import BracketError, DomainError, ModelError, RegimeError
+from .errors import (BracketError, DomainError, ModelError, RegimeError,
+                     TruncationWarning)
 from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
                       eigenvalue, ground_energy)
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
-                      _em_sum, polylog)
+                      polylog)
 
 # relative half-width of the critical band; read only by `critical_side`
 CRITICAL_BAND = 1e-6
@@ -126,79 +130,144 @@ def _split_axes(a: np.ndarray, ln_fac: float):
     return big_l, l_req > big_l
 
 
+# the positive nodes x and their weights of the 16- and 8-point
+# Gauss-Legendre rules on [-1, 1] (the roots of the Legendre polynomial P_n,
+# weight 2 / ((1 - x^2) P_n'(x)^2)), correctly rounded; each rule also has
+# the nodes -x.  Written out, they load no linear algebra and no libm
+# trigonometry.
+_GAUSS_LEGENDRE = {
+    16: ((0.09501250983763744, 0.1894506104550685),
+         (0.2816035507792589, 0.18260341504492358),
+         (0.45801677765722737, 0.16915651939500254),
+         (0.6178762444026438, 0.14959598881657674),
+         (0.755404408355003, 0.12462897125553388),
+         (0.8656312023878318, 0.09515851168249279),
+         (0.9445750230732326, 0.062253523938647894),
+         (0.9894009349916499, 0.027152459411754096)),
+    8: ((0.1834346424956498, 0.362683783378362),
+        (0.525532409916329, 0.31370664587788727),
+        (0.7966664774136267, 0.22238103445337448),
+        (0.9602898564975363, 0.10122853629037626)),
+}
+
+
+def _unit_panel():
+    """The merged nodes of the 16- and 8-point Gauss-Legendre rules on the
+    panel [0, 1], ascending, and their weights as two rows (16-point,
+    8-point), each zero at the other rule's nodes."""
+    merged = sorted((0.5 + 0.5 * sign * x,
+                     0.5 * w if n == 16 else 0.0, 0.5 * w if n == 8 else 0.0)
+                    for n, rule in _GAUSS_LEGENDRE.items()
+                    for x, w in rule for sign in (-1.0, 1.0))
+    t, *w = zip(*merged)
+    return np.array(t), np.array(w)
+
+
+_PANEL_NODES, _PANEL_WEIGHTS = _unit_panel()
+
+
+def _log_product(rates, l: np.ndarray) -> np.ndarray:
+    """log P_l = -sum_j log(1 - e^{-a_j l}) at ascending loop lengths l,
+    accumulated over the rates in order.  Rate a_j is evaluated only on the
+    prefix of l with a_j l < `_NORMAL_EXP`, where its term is a normal
+    float; beyond it the term is below the smallest normal float, far under
+    half an ulp of the slowest axis's term, so leaving it out moves no bit
+    of log P_l.  A rate equal to the one before (adjacent in every trap
+    model) reuses its evaluation, and no (axes x l) temporary is made."""
+    log_p = np.zeros_like(l)
+    prev = None
+    for a_j in rates:
+        if a_j != prev:
+            u = a_j * l
+            n = int(np.searchsorted(u, _NORMAL_EXP))
+            term = log1mexp(u[:n])
+            prev = a_j
+        log_p[:n] -= term
+    return log_p
+
+
 class _LoopProduct:
     """Gap-independent part of the loop sums for one (beta, trap, ctl): the
-    direct length L, the slow axes and log P_l for l = 1..L.
+    direct length L, the slow axes, log P_l for l = 1..L and, with slow
+    axes, the tail's quadrature grid.
 
-    log P_l = -sum_j log(1 - e^{-a_j l}) is accumulated axis by axis, in
-    axis order.  Axis j is evaluated only on the prefix of loops with
-    a_j l < `_NORMAL_EXP`, where its term is a normal float; beyond it the
-    term is below the smallest normal float, far under half an ulp of the
-    slowest axis's term, so leaving it out moves no bit of log P_l.  Axes
-    of equal rate (adjacent in every trap model) share one evaluation.
     `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega)
     add the gap-dependent factor e^{-l w0}, the exact sum of the P_l = 1
-    part beyond L and, with slow axes, the one `_tail` of P_l - 1, so a gap
-    solve builds P_l once for all its trial gaps.  The tail's integrand
-    calls `_log_p` at one loop length at a time, on the rates as Python
-    floats.
+    part beyond L and, with slow axes, the `_tail` of P_l - 1, so a gap
+    solve builds P_l once for all its trial gaps.
+
+    The tail sum_{l>L} e^{log_scale - l w0} (P_l - 1) [/ l] is an endpoint
+    Euler-Maclaurin sum: the integral from L + 1 in v = log l plus
+    f(L+1)/2 - (f(L+2) - f(L))/24 (central differences for f'(L + 1); the
+    terms at the far end are below e^{-2000}).  The integral runs over
+    unit-width panels in v, each with merged 16- and 8-point Gauss-Legendre
+    nodes, from log(L + 1) to where every rate's term has left the normal
+    floats (a_min l = `_NORMAL_EXP`, at most l = 1e306): beyond it
+    P_l - 1 is exactly 0.  The grid stores, at the three endpoint lengths
+    and at the nodes, l, log P over the axes whose term is still a normal
+    float at L + 1, and per series the two weight rows times (1 - 1/P_l),
+    with the endpoint coefficients in both rows and the nodes' Jacobian l
+    (nu) or the endpoints' 1/l (Omega) as factors, not in the exponent,
+    where they would add the rounding of a larger sum.  With slow axes L is
+    `specfun._DIRECT_CAP`, so L + 2 lies below the first node and the
+    lengths are ascending.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
         self.a = _axis_rates(beta, trap)
-        self._rates = self.a.tolist()
+        rates = self.a.tolist()
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
         self.big_l, self.slow = _split_axes(self.a, ln_fac)
         self.l = np.arange(1, self.big_l + 1, dtype=float)
-        # one axis at a time: no (axes x L) temporaries; an axis with the
-        # rate of the one before reuses its evaluation
-        self.log_p = np.zeros_like(self.l)
-        prev = None
-        for a_j in self._rates:
-            if a_j != prev:
-                u = a_j * self.l
-                n = int(np.searchsorted(u, _NORMAL_EXP))
-                term = log1mexp(u[:n])
-                prev = a_j
-            self.log_p[:n] -= term
-        # the axes whose term is still a normal float at the tail's start
-        self._tail_rates = [a_j for a_j in self._rates
-                            if a_j * (self.big_l + 1) < _NORMAL_EXP]
+        self.log_p = _log_product(rates, self.l)
+        if self.slow.any():
+            self._build_tail(rates)
 
-    def _log_p(self, l: float) -> float:
-        """log P(l) at a real loop length l >= L, for the tail, summed over
-        the axes in order.  It leaves out the axes whose term is below the
-        smallest normal float at L + 1, far under the slow axes' terms from
-        l = L on."""
-        total, prev = 0.0, None
-        for a in self._tail_rates:
-            if a != prev:
-                term = _log1mexp_float(a * l)
-                prev = a
-            total += term
-        return -total
+    def _build_tail(self, rates: list):
+        big_l = float(self.big_l)
+        self._v1 = math.log(big_l + 1.0)
+        self._a_min = min(rates)
+        v_end = math.log(min(1e306, _NORMAL_EXP / self._a_min))
+        self._panels = math.ceil(v_end - self._v1)
+        v = (self._v1 + np.arange(self._panels, dtype=float)[:, None]
+             + _PANEL_NODES).ravel()
+        ends = np.array([big_l, big_l + 1.0, big_l + 2.0])
+        self._tail_l = np.concatenate([ends, np.exp(v)])
+        self._tail_log_p = _log_product(
+            [a_j for a_j in rates if a_j * (big_l + 1.0) < _NORMAL_EXP],
+            self._tail_l)
+        # rows (16-point, 8-point), the endpoint coefficients in both; each
+        # row is contiguous, so its sum over the nodes is numpy's pairwise
+        # sum
+        w = np.hstack([np.repeat([[1.0 / 24.0, 0.5, -1.0 / 24.0]], 2, axis=0),
+                       np.tile(_PANEL_WEIGHTS, self._panels)])
+        w *= -np.expm1(-self._tail_log_p)
+        # per_loop False (nu): the nodes' Jacobian l; True (Omega): 1/l at
+        # the endpoints, where no Jacobian cancels it
+        self._tail_w = np.stack([
+            w * np.concatenate([np.ones(3), self._tail_l[3:]]),
+            w / np.concatenate([ends, np.ones(v.size)])])
 
     def _tail(self, w0: float, log_scale: float, per_loop: bool,
               total: float) -> float:
-        """sum_{l>L} e^{log_scale - l w0} (P_l - 1), times 1/l if per_loop.
-
-        The summand is exp(log_scale - l w0 + log P) (1 - 1/P), every scale
-        inside the one exponent; it decays like e^{-(w0 + a_min) l}, a_min
-        the slowest rate, and the tail ends where it has taken
-        2000 + |log_scale| e-folds of that decay."""
-        def f(l: float) -> float:
-            log_p = self._log_p(l)
-            val = log_scale - l * w0 + log_p
-            if per_loop:
-                val -= math.log(l)
-            return math.exp(val) * -math.expm1(-log_p) if val > -745.0 \
-                else 0.0
-
-        l_max = min(1e306, (2000.0 + abs(log_scale))
-                    / (w0 + min(self._rates)))
-        return _em_sum(f, self.big_l + 1.0, l_max, self._rates + [w0],
-                       self.rel_tol, total)
+        """sum_{l>L} e^{log_scale - l w0} (P_l - 1), times 1/l if per_loop,
+        on the grid's panels up to l_max: one exponential and the pairwise
+        sums of both weighted rows.  The summand decays like
+        e^{-(w0 + a_min) l}, and l_max is where it has taken
+        2000 + |log_scale| e-folds of that decay.  |G8 - G16| is the error
+        estimate; a TruncationWarning carries it when it exceeds rel_tol of
+        |total + the tail|, total being the sum so far."""
+        l_max = min(1e306, (2000.0 + abs(log_scale)) / (w0 + self._a_min))
+        n = 3 + 24 * min(self._panels,
+                         max(0, math.ceil(math.log(l_max) - self._v1)))
+        f = np.exp(log_scale - w0 * self._tail_l[:n] + self._tail_log_p[:n])
+        g16, g8 = np.sum(self._tail_w[int(per_loop), :, :n] * f,
+                         axis=1).tolist()
+        err = abs(g8 - g16)
+        if err > self.rel_tol * abs(total + g16):
+            warnings.warn(TruncationWarning(err))
+        return g16
 
     def sum(self, w0: float, log_scale: float) -> float:
         """e^{log_scale} sum_{l>=1} e^{-l w0} P_l: the direct stretch, the
@@ -267,9 +336,17 @@ def grand_potential(eq: Equilibrium) -> float:
     Writes Tr G(l beta) = e^{-E0 l beta} P_l with P_l -> 1 and resums the
     P_l = 1 part exactly as (1/beta) log(1 - e^{-beta Delta}); the P_l - 1
     part shares the direct stretch and the slow-axis tail of `nu_rescaled`.
+    Raises DomainError when Omega lies beyond the float range.
     """
     loops = _LoopProduct(eq.beta, eq.trap, eq.ctl)
-    return -loops.log_partition(eq.beta * eq.gap) / eq.beta
+    # Omega has no |kappa|^d scale: past the float range (isotropic d = 3
+    # at beta = 1: kappa below about 1.7e-103) its sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_z = loops.log_partition(eq.beta * eq.gap)
+    if not math.isfinite(log_z):
+        raise DomainError(f"Omega at kappa={eq.trap.kappa!r} lies beyond "
+                          "the float range")
+    return -log_z / eq.beta
 
 
 def nu_open_trap(beta: float, mu: float, d: int,
@@ -320,11 +397,12 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
 
     Finds the root of log nu(Delta) - log target.nu in log(Delta) by Brent's
     method, from one `_LoopProduct` for all trial gaps.  The search starts at
-    `gap_asymptotic`, clamped into the window [1e-300*E0, E0 + 50/beta], and
-    grows a bracket away from it (first step 0.5 in log Delta, each next
-    step four times longer) until nu crosses the target; within the
-    critical band, where there is no closed-form guess, the bracket is the
-    whole window.  log nu is nearly linear in log Delta in every regime
+    `gap_asymptotic`, clamped into the window [the smallest normal float,
+    E0 + 50/beta] (so every trial gap is a normal float, however small E0
+    is), and grows a bracket away from it (first step 0.5 in log Delta,
+    each next step four times longer) until nu crosses the target; within
+    the critical band, where there is no closed-form guess, the bracket is
+    the whole window.  log nu is nearly linear in log Delta in every regime
     (nu ~ 1/Delta when condensed), so few evaluations are needed.  The gap
     (not mu) is the primary unknown because deep in the condensed regimes
     Delta is exponentially small and would be lost entirely to rounding in
@@ -341,7 +419,7 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
         s = loops.sum(beta * math.exp(log_delta), log_scale)
         return math.log(s) - log_nu if s > 0.0 else -math.inf
 
-    lo_edge = math.log(1e-300 * e0)
+    lo_edge = math.log(sys.float_info.min)
     hi_edge = math.log(e0 + 50.0 / beta)
 
     def unbracketed() -> BracketError:

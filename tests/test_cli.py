@@ -168,9 +168,23 @@ class TestExitCodes:
         assert main(["thermo", "--config", str(cfg)]) == 2
 
     def test_unreachable_target(self, tmp_path):
-        doc = {"kappa": 0.3, "nu": 1e305}
+        # nu beyond what the smallest normal gap reaches (about 1.2e306)
+        doc = {"kappa": 0.3, "nu": 1e308}
         code, _ = _run(tmp_path, "mu-solve", doc)
         assert code == 3
+
+    def test_tiny_isotropic_trap(self, tmp_path, capsys):
+        # E0 = 1.5e-30, so 1e-300 E0 is no float: the gap window's lower
+        # edge is the smallest normal float
+        code, out = _run(tmp_path, "thermo",
+                         {"model": "isotropic", "d": 3, "beta": 1,
+                          "nu": 2.4, "kappa_ladder": [1e-30]})
+        assert code == 0
+        assert "math domain error" not in capsys.readouterr().err
+        _, header, rows = _parse_csv(out.read_text())
+        gap = float(rows[0][header.index("gap")])
+        assert gap == pytest.approx(1e-90 / (2.4 - 1.2020569031595942),
+                                    rel=1e-6)
 
     def test_missing_config_file(self, tmp_path):
         assert main(["thermo", "--config",

@@ -15,7 +15,7 @@ from boseloops import aniso, rdm, specfun, thermo
 from boseloops.errors import (BracketError, DomainError, ModelError,
                               RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
-from boseloops.specfun import DEFAULT_CONTROL
+from boseloops.specfun import DEFAULT_CONTROL, SeriesControl
 from boseloops.thermo import (CanonicalTarget, Equilibrium, _band_series,
                               _nu_critical_trap, bose, critical_side,
                               gap_asymptotic,
@@ -184,27 +184,25 @@ class TestLoopNumber:
                     assert omega == pytest.approx(omegas[i], rel=1e-12,
                                                   abs=0.0)
 
-    @pytest.mark.parametrize("target,trap,limit", [
-        (CanonicalTarget(1.0, 2.0), Quasi2D(0.01, 1.0), 945),
-        (CanonicalTarget(1.0, 2.4), Isotropic(3, 1e-5), 819)],
+    @pytest.mark.parametrize("target,trap", [
+        (CanonicalTarget(1.0, 2.0), Quasi2D(0.01, 1.0)),
+        (CanonicalTarget(1.0, 2.4), Isotropic(3, 1e-5))],
         ids=["q2d-0.01", "iso-1e-5"])
-    def test_tail_integrand_calls(self, monkeypatch, target, trap, limit):
-        # the tail integrates only P - 1: the ground-state part is the exact
-        # geometric series, so the quadrature no longer resolves the
-        # e^{-l w0} cut-off (1,890 and 1,638 calls when it integrated P)
+    def test_tail_integrand_calls(self, monkeypatch, target, trap):
+        # the slow-axis tail of P - 1 is a quadrature grid built once per
+        # solve, so no trial gap runs an adaptive quadrature
         import scipy.integrate
 
         calls = []
         real = scipy.integrate.quad
 
-        def counted(func, *args, **kwargs):
-            def f(v):
-                calls.append(v)
-                return func(v)
-            return real(f, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(scipy.integrate, "quad", counted)
+        assert thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
         solve_gap(target, trap)
-        assert 0 < len(calls) <= limit
+        assert calls == []
 
     def test_extreme_axis_separation(self):
         # longitudinal rate ~1e-175: everything must stay finite and solvable
@@ -254,9 +252,9 @@ class TestLoopProduct:
         assert sizes == [5_863] * 2
 
     def test_product_built_once_with_slow_axis(self, monkeypatch):
-        # the quadrature tail that runs per trial gap works on floats; the
-        # stiff pair shares one evaluation, which ends where its term
-        # leaves the normal floats
+        # the stiff pair shares one evaluation, which ends where its term
+        # leaves the normal floats; the tail's grid takes the slow axis
+        # only, once, and no trial gap evaluates a loop factor
         trap = Quasi1D(0.3, 1.0)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
         assert prod.slow.any() and prod.big_l == 10_000
@@ -265,9 +263,12 @@ class TestLoopProduct:
         n_stiff = int(np.sum(stiff * prod.l < NORMAL_EXP))
         assert n_stiff == 2_361
         assert stiff * n_stiff < NORMAL_EXP <= stiff * (n_stiff + 1)
+        assert stiff * (prod.big_l + 1) >= NORMAL_EXP
+        n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
+        assert 0 < n_grid <= prod._tail_l.size
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 4.0), trap)
-        assert sizes == [10_000, n_stiff]
+        assert sizes == [10_000, n_stiff, n_grid]
 
     @pytest.mark.parametrize("kappa", [0.4, 0.35, 0.3, 0.25])
     def test_product_build_takes_no_subnormal_term(self, kappa, monkeypatch):
@@ -280,54 +281,83 @@ class TestLoopProduct:
             seen.append(np.max(v))
             return real(v)
         monkeypatch.setattr(thermo, "log1mexp", recorded)
+        # (the slow and the stiff rate on the direct stretch, the slow rate
+        # on the tail's grid)
         thermo._LoopProduct(1.0, Quasi1D(kappa, 1.0), DEFAULT_CONTROL)
-        assert len(seen) == 2 and max(seen) < NORMAL_EXP
+        assert len(seen) == 3 and max(seen) < NORMAL_EXP
 
     def test_isotropic_product_is_one_evaluation(self, monkeypatch):
+        # one evaluation of the shared rate on the direct stretch and one on
+        # the tail's grid
         sizes = self._log1mexp_sizes(monkeypatch)
-        thermo._LoopProduct(1.0, Isotropic(3, 1e-5), DEFAULT_CONTROL)
-        assert sizes == [10_000]
+        prod = thermo._LoopProduct(1.0, Isotropic(3, 1e-5), DEFAULT_CONTROL)
+        n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
+        assert sizes == [10_000, n_grid]
+
+    def test_panel_rule_is_gauss_legendre(self):
+        # on [0, 1] the 16-point row integrates t^k exactly for k < 32 and
+        # the 8-point row for k < 16, at numpy's Gauss-Legendre nodes
+        t, w = thermo._PANEL_NODES, thermo._PANEL_WEIGHTS
+        assert t.shape == (24,) and w.shape == (2, 24)
+        assert np.all(np.diff(t) > 0.0)
+        for row, n in ((0, 16), (1, 8)):
+            for k in range(2 * n):
+                assert w[row] @ t**k == pytest.approx(1.0 / (k + 1), rel=0.0,
+                                                      abs=1e-15)
+            x, wx = np.polynomial.legendre.leggauss(n)
+            on = w[row] > 0.0
+            assert np.allclose(t[on], 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
+            assert np.allclose(w[row, on], 0.5 * wx, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("trap", [Quasi1D(0.3, 1.0), Quasi2D(0.01, 1.0),
                                       Isotropic(3, 1e-5)])
     def test_float_tail_matches_array_form(self, trap):
-        # the tail's float form of log P against the numpy form of the
-        # direct stretch, with the same branches, over the axes
-        # the tail keeps: those whose term is a normal float at L + 1.
-        # libm and numpy's vectorised exp/log1p/expm1 round differently for
-        # about 1 argument in 1000, so a few points may differ in the last
-        # bits
+        # the tail grid's log P against the outer-product form over the
+        # axes the tail keeps (those whose term is a normal float at L + 1),
+        # each term kept where it is a normal float: bit for bit, at the
+        # three endpoint lengths L, L + 1, L + 2 and at the ascending nodes
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        l = prod._tail_l
+        assert np.array_equal(l[:3], prod.big_l + np.arange(3.0))
+        assert np.all(np.diff(l) > 0.0)
         start = prod.a * (prod.big_l + 1.0)
         keep = np.abs(log1mexp(start)) >= sys.float_info.min
         assert np.all(start[~keep] >= NORMAL_EXP)
         assert (~keep).any() == isinstance(trap, Quasi1D)
-        grid = np.logspace(math.log10(1e4 + 1.0), 300.0, 2000)
-        differ = 0
-        for l in grid.tolist():
-            ref = -np.sum(log1mexp(prod.a[keep] * l))
-            log_p = prod._log_p(l)
-            differ += log_p != ref
-            assert abs(log_p - ref) <= 2.0 * math.ulp(ref)
-        assert differ <= len(grid) // 100
+        u = np.outer(prod.a[keep], l)
+        ref = -np.sum(np.where(u < NORMAL_EXP,
+                               log1mexp(np.minimum(u, NORMAL_EXP)), 0.0),
+                      axis=0)
+        assert np.array_equal(prod._tail_log_p, ref)
+        # the panels end in the one whose end is the first past
+        # a_min l = NORMAL_EXP (capped at l = 1e306), beyond which every
+        # kept term has left the normal floats and P_l - 1 is 0
+        v_end = math.log(min(1e306, NORMAL_EXP / prod.a.min()))
+        last = prod._v1 + prod._panels
+        assert last - 1.0 < v_end <= last
+        assert l.size == 3 + 24 * prod._panels
 
-    def test_tail_quadrature_error_is_reported(self, monkeypatch):
-        import scipy.integrate
-
+    def test_tail_quadrature_error_is_reported(self):
+        # the tail's estimate is |G8 - G16| of its two Gauss-Legendre
+        # rows; it meets the default rel_tol and warns, carrying it,
+        # under a tolerance no double-precision sum can meet
         trap = Quasi1D(0.3, 1.0)
         eq = _eq(trap, 1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             nu = nu_rescaled(eq)
-        real = scipy.integrate.quad
-
-        def sloppy(*args, **kwargs):
-            val, _err = real(*args, **kwargs)
-            return val, 1e-3 * nu
-        monkeypatch.setattr(scipy.integrate, "quad", sloppy)
+        tight = SeriesControl(rel_tol=1e-30)
+        prod = thermo._LoopProduct(1.0, trap, tight)
+        log_scale = 3.0 * math.log(trap.kappa_abs)
+        # at this gap the tail runs over the whole grid
+        assert (2000.0 + abs(log_scale)) / (1e-6 + prod.a[0]) \
+            > prod._tail_l[-1]
+        f = np.exp(log_scale - 1e-6 * prod._tail_l + prod._tail_log_p)
+        g16, g8 = np.sum(prod._tail_w[0] * f, axis=1)
+        assert 0.0 < abs(g8 - g16) <= DEFAULT_CONTROL.rel_tol * nu
         with pytest.warns(TruncationWarning) as record:
-            assert nu_rescaled(eq) == nu
-        assert record[0].message.args == (1e-3 * nu,)
+            assert nu_rescaled(Equilibrium(1.0, trap, tight, 1e-6)) == nu
+        assert record[0].message.args == (abs(g8 - g16),)
 
 
 class TestCriticalNumbers:
@@ -393,8 +423,33 @@ class TestSolvers:
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_unreachable_nu_raises(self):
+        # nu grows like kappa^3 / gap: at the window's lower edge, the
+        # smallest normal float, this trap reaches about 1.2e306
         with pytest.raises(BracketError):
-            solve_gap(CanonicalTarget(1.0, 1e305), Isotropic(3, 0.3))
+            solve_gap(CanonicalTarget(1.0, 1e308), Isotropic(3, 0.3))
+
+    @pytest.mark.parametrize("kappa", [1e-24, 1e-30, 1e-60, 1e-102])
+    def test_tiny_isotropic_trap_solves(self, kappa):
+        # E0 = 1.5 kappa: for these 1e-300 E0 is below the normal floats,
+        # and the window's lower edge is the smallest normal float
+        trap = Isotropic(3, kappa)
+        gap = solve_gap(CanonicalTarget(1.0, 2.4), trap)
+        assert sys.float_info.min <= gap < ground_energy(trap)
+        assert nu_rescaled(_eq(trap, gap)) == pytest.approx(2.4, rel=1e-12)
+
+    def test_tiny_isotropic_gap_below_normal_floats_raises(self):
+        # the gap kappa^3 / (beta (nu - nu_c)) would be subnormal
+        with pytest.raises(BracketError):
+            solve_gap(CanonicalTarget(1.0, 2.4), Isotropic(3, 1e-103))
+
+    @pytest.mark.parametrize("kappa", [0.03785, 0.038, 0.0382, 0.0383])
+    def test_quasi1d_gap_near_normal_float_limit(self, kappa):
+        # the coexistence gap k1 kp^2 / (beta (nu - nu_m)) lies between the
+        # smallest normal float and 1e-300 E0
+        trap = Quasi1D(kappa, 1.0)
+        gap = solve_gap(CanonicalTarget(1.0, 4.0), trap)
+        assert sys.float_info.min <= gap < 1e-300
+        assert nu_rescaled(_eq(trap, gap)) == pytest.approx(4.0, rel=1e-12)
 
 
 def _window_gap(target, trap):
@@ -448,6 +503,43 @@ def _case_id(value):
     if isinstance(value, float):
         return f"nu{value:.9g}"
     return f"{type(value).__name__}-d{value.dim}-k{value.kappa:g}"
+
+
+class TestTailOracle:
+    @pytest.mark.parametrize("trap,nu", _BENCH_LADDER, ids=_case_id)
+    def test_tail_matches_adaptive_quadrature(self, trap, nu):
+        # oracle: the endpoint Euler-Maclaurin sum `specfun._em_sum` (scipy's
+        # adaptive quad) over the scalar P - 1 summand, for nu and Omega,
+        # at 1e-6 ... 1e6 times the solved gap
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        assert prod.slow.any()
+        rates = [a for a in prod.a.tolist()
+                 if a * (prod.big_l + 1.0) < NORMAL_EXP]
+        gap = solve_gap(CanonicalTarget(1.0, nu), trap)
+        for factor in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            w0 = gap * factor
+            for per_loop in (False, True):
+                log_scale = 0.0 if per_loop \
+                    else trap.dim * math.log(trap.kappa_abs)
+                whole = prod.log_partition(w0) if per_loop \
+                    else prod.sum(w0, log_scale)
+
+                def f(l):
+                    log_p = -math.fsum(thermo._log1mexp_float(a * l)
+                                       for a in rates if a * l < NORMAL_EXP)
+                    val = log_scale - l * w0 + log_p \
+                        - (math.log(l) if per_loop else 0.0)
+                    return math.exp(val) * -math.expm1(-log_p) \
+                        if val > -745.0 else 0.0
+
+                l_max = min(1e306, (2000.0 + abs(log_scale))
+                            / (w0 + min(rates)))
+                ref = specfun._em_sum(f, prod.big_l + 1.0, l_max,
+                                      prod.a.tolist() + [w0],
+                                      DEFAULT_CONTROL.rel_tol, whole)
+                tail = prod._tail(w0, log_scale, per_loop, whole)
+                assert tail == pytest.approx(ref, rel=0.0,
+                                             abs=1e-13 * abs(whole))
 
 
 class TestGapSolver:
@@ -534,6 +626,16 @@ class TestGrandPotential:
         trap = Quasi1D(kappa, 1.0)
         assert grand_potential(_eq(trap, gap)) == pytest.approx(
             _omega_mode_sum(trap, gap), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-104, 1e-200])
+    def test_beyond_float_range_raises(self, kappa):
+        # |Omega| ~ zeta(4) / (beta kappa^3) exceeds the float range
+        with pytest.raises(DomainError, match=f"kappa={kappa!r}"):
+            grand_potential(_eq(Isotropic(3, kappa), 1e-3))
+
+    def test_near_float_range_is_finite(self):
+        assert grand_potential(_eq(Isotropic(3, 1e-100), 1e-3)) \
+            == pytest.approx(-1.0811219978182353e+300, rel=1e-14, abs=0.0)
 
     def test_decreasing_in_mu(self):
         trap = Isotropic(2, 0.5)
