@@ -28,8 +28,7 @@ from .aniso import (additional_q2d, classify, meso_q1d, meso_q1d_prediction,
 from .errors import BoseloopsError, BracketError, DomainError
 from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel, ground_energy
 from .rdm import (condensate_density, divergence_law, loop_decompose,
-                  local_density_scaled, noncondensate, rdm_loops, rdm_rescaled,
-                  scaled_density_limit)
+                  local_density_scaled, rdm_columns, scaled_density_profile)
 from .specfun import PhysicalConstants, SeriesControl
 from .thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
                      gap_asymptotic, gbec_band_sum, nu_m, nu_rescaled,
@@ -244,8 +243,7 @@ def cmd_rdm(cfg: RunConfig) -> ResultTable:
         x = _point(cfg, "x", trap.dim)
         y = _point(cfg, "y", trap.dim)
         eq = Equilibrium.solve(target, trap, cfg.ctl)
-        return [kappa, rdm_loops(x, y, eq), rdm_rescaled(x, y, eq),
-                noncondensate(x, y, eq)]
+        return [kappa, *rdm_columns(x, y, eq)]
 
     rows = [one(kappa) for kappa in cfg.kappas]
     return ResultTable(["kappa", "rdm", "rdm_rescaled", "noncondensate"],
@@ -268,13 +266,14 @@ def cmd_profile(cfg: RunConfig) -> ResultTable:
     trap = build_trap(cfg, cfg.kappas[0])
     eq = Equilibrium.solve(target, trap, cfg.ctl)
     law = divergence_law(cfg.beta, cfg.nu, trap.dim, cfg.consts)
+    limit = scaled_density_profile(delta, target, trap.dim, cfg.consts,
+                                   cfg.ctl, rescaled)
 
     def one(r) -> list:
         x = np.zeros(trap.dim)
         x[0] = float(r)
         val = local_density_scaled(x, delta, eq, rescaled)
-        pred = scaled_density_limit(x, delta, target, trap.dim, cfg.consts,
-                                    cfg.ctl, rescaled)
+        pred = limit(x)
         if pred is None:
             return [float(r), val, "no-limit-claimed", "n/a"]
         if math.isinf(pred):

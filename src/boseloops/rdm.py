@@ -13,14 +13,18 @@ after ~L* terms even arbitrarily close to criticality.  One evaluator,
 open end) and returns the dyad-subtracted sum of each window between them.
 The full series is one call of it on [0, inf]; the short/meso/macro
 decomposition and each anisotropic window sum of `aniso` are one call on
-cutoffs from `_window_cutoffs`.  It derives the geometry, the dyad and L*
-once per call, and sums each window, like the open-trap (kappa -> 0)
-series, by the loop-series engine `specfun._series`: its first
-`specfun._DIRECT_CAP` loops directly, the rest by the Euler-Maclaurin tail
-`specfun._em_sum`, whose quadrature error estimate is checked against
-rel_tol of the sum (a TruncationWarning when it is not met).  The direct
-stretch takes the vectorised window summand; the tail integrates its float
-form (`_window_summands`), which runs on Python floats and `math`.  That is
+cutoffs from `_window_cutoffs`.  It derives the geometry, the dyad, L* and
+the direct stretch once per call, and sums each window, like the open-trap
+(kappa -> 0) series, by the loop-series engine `specfun._series`: a window
+within `specfun._DIRECT_CAP` loops directly, a longer one the
+`specfun._direct_length` of the summand's slowest rate w0 + min_j a_j
+loops directly (1,636 at most at the default rel_tol, against the
+open-trap series' whole cap), the rest by the Euler-Maclaurin tail
+`specfun._em_sum`, whose error estimate, the quadrature's plus the
+endpoint remainder, is checked against rel_tol of the sum (a
+TruncationWarning when it is not met).  The direct stretch takes the
+vectorised window summand; the tail integrates its float form
+(`_window_summands`), which runs on Python floats and `math`.  That is
 rdm's only quadrature: the barometric radii are closed forms.  Every trapped
 observable takes a `thermo.Equilibrium` and reads its gap, so all windows of
 one (target, trap) share a single solve.
@@ -45,9 +49,9 @@ from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, _check_points,
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, _geometric_series, _series, de_broglie,
                       hermite_eigen_table, polylog)
-from .thermo import (CanonicalTarget, Equilibrium, _log1mexp_float,
-                     _nu_critical_trap, bose, critical_side, log1mexp,
-                     mu_open_trap, nu_critical)
+from .thermo import (_NORMAL_EXP, CanonicalTarget, Equilibrium,
+                     _log1mexp_float, _nu_critical_trap, bose, critical_side,
+                     log1mexp, mu_open_trap, nu_critical)
 
 _CRAMER = 1.0865
 
@@ -64,7 +68,7 @@ def _kernel_axes(x, y, beta: float, trap: TrapModel) -> list:
 
 
 def _delta_exponent(l, axes):
-    """log[ K(l beta) / dyad ] as a function of loop length l (vectorized).
+    """log[ K(l beta) / dyad ] at ascending loop lengths l (a 1-d array).
 
     axes holds per axis the floats (a, q, s) of `_kernel_axes`; with
     u = a l each axis adds the Mehler exponent
@@ -77,22 +81,33 @@ def _delta_exponent(l, axes):
     diagonal x = y the s term is.  Axes of equal rate (adjacent in every
     trap model) share one evaluation of the functions of u; the axes are
     still added in order.
+
+    As in `thermo._log_product`, each rate is evaluated only where its
+    terms are normal floats: the q term on the prefix of l with
+    u < `_NORMAL_EXP`, the terms of 2u on the prefix with
+    2u < `_NORMAL_EXP`.  Beyond them a term is below the smallest normal
+    float, so leaving it out moves no bit of a window sum, and no
+    exponential of a subnormal result is taken.
     """
     l = np.asarray(l, dtype=float)
     out = np.zeros_like(l)
     for a, run in groupby(axes, key=itemgetter(0)):
         u = a * l
+        n1 = int(np.searchsorted(u, _NORMAL_EXP))
+        n2 = int(np.searchsorted(u, 0.5 * _NORMAL_EXP))
+        u = u[:n1]
         eu = np.exp(-u)
-        half_log = 0.5 * log1mexp(2.0 * u)
+        half_log = 0.5 * log1mexp(2.0 * u[:n2])
         # e^{-2u}/(1-e^{-2u}) = e^{-u}/(1+e^{-u}) * e^{-u}/(1-e^{-u}), in
         # place: no more arrays alive than the two fractions need
-        plus, minus = eu / (1.0 + eu), eu / -np.expm1(-u)
-        minus *= plus
+        plus, minus = eu / (1.0 + eu), eu[:n2] / -np.expm1(-u[:n2])
+        minus *= plus[:n2]
         # free each rate's arrays before the next rate's are made
         del u, eu
         for _, q, s in run:
-            out -= half_log
-            out += q * plus - s * minus
+            out[:n2] -= half_log
+            out[:n2] += q * plus[:n2] - s * minus
+            out[n2:n1] += q * plus[n2:]
         del half_log, plus, minus
     return out
 
@@ -111,14 +126,17 @@ def _window_summands(axes, w0: float, log_dyad: float):
         return np.where(big, np.exp(base + dlt), np.exp(base) * np.expm1(safe))
 
     def summand_float(l: float) -> float:
+        # the same normal-float rule as `_delta_exponent`
         dlt, prev = 0.0, None
         for a, q, s in axes:
             if a != prev:
                 u = a * l
-                eu = math.exp(-u)
-                half_log = 0.5 * _log1mexp_float(2.0 * u)
+                eu = math.exp(-u) if u < _NORMAL_EXP else 0.0
                 plus = eu / (1.0 + eu)
-                minus = plus * (eu / -math.expm1(-u))
+                half_log = minus = 0.0
+                if 2.0 * u < _NORMAL_EXP:
+                    half_log = 0.5 * _log1mexp_float(2.0 * u)
+                    minus = plus * (eu / -math.expm1(-u))
                 prev = a
             dlt = dlt - half_log + (q * plus - s * minus)
         base = -l * w0 + log_dyad
@@ -149,11 +167,14 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
     gap of eq.
 
     cuts is nondecreasing, starts at 0 or above and may end at math.inf; an
-    empty window gives 0.0.  The geometry, the dyad and the relaxation
-    length L* are derived once for all windows.  Terms beyond L* contribute
-    below rel_tol relative to the macroscopic tail and are dropped.  Each
-    window is one `specfun._series` call, which warns (TruncationWarning)
-    when its quadrature error estimate exceeds rel_tol of the window sum.
+    empty window gives 0.0.  The geometry, the dyad, the relaxation length
+    L* and the direct stretch are derived once for all windows.  Terms
+    beyond L* contribute below rel_tol relative to the macroscopic tail and
+    are dropped.  Each window is one `specfun._series` call, whose direct
+    stretch, for a window longer than `specfun._DIRECT_CAP`, is the
+    `specfun._direct_length` of the summand's slowest rate w0 + min_j a_j,
+    and which warns (TruncationWarning) when its tail's error estimate
+    exceeds rel_tol of the window sum.
     """
     if cuts[0] < 0:
         raise DomainError("loop lengths start at 1")
@@ -165,6 +186,7 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
     # headroom covers the (logarithmically growing) subtracted exponent
     cut = (1500.0 - min(log_dyad, 0.0)) / w0 if w0 > 0.0 else math.inf
     a = [a_j for a_j, _, _ in axes]
+    stretch = specfun._direct_length(w0 + min(a), ctl.rel_tol)
     summand, summand_float = _window_summands(axes, w0, log_dyad)
 
     sums = []
@@ -174,7 +196,8 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
         if cut < 8e18:
             upper = min(upper, l_lo + int(cut) + 1)
         sums.append(_series(summand, l_lo, upper, a + [w0], ctl.rel_tol,
-                            summand_float) if upper >= l_lo else 0.0)
+                            summand_float, stretch)
+                    if upper >= l_lo else 0.0)
     return sums
 
 
@@ -188,11 +211,20 @@ def _geometric_window(w0: float, lo, hi) -> float:
     return head * (-math.expm1(-(hi - lo) * w0))
 
 
+def rdm_columns(x, y, eq: Equilibrium) -> tuple[float, float, float]:
+    """r(x,y), |kappa|^{d/2} r(x,y) and the noncondensate part, the three
+    columns of an `rdm` row, from one window sum: `rdm_loops`,
+    `rdm_rescaled` and `noncondensate` to the bit."""
+    trap = eq.trap
+    non = noncondensate(x, y, eq)
+    full = non + ground_state_product(x, y, trap) \
+        * float(bose(eq.beta * eq.gap))
+    return full, trap.kappa_abs ** (trap.dim / 2.0) * full, non
+
+
 def rdm_loops(x, y, eq: Equilibrium) -> float:
     """Reduced density matrix r(x,y) by the loop series at the solved mu."""
-    dyad = ground_state_product(x, y, eq.trap)
-    return _noncond_windows(x, y, eq, [0, math.inf])[0] \
-        + dyad * float(bose(eq.beta * eq.gap))
+    return rdm_columns(x, y, eq)[0]
 
 
 def noncondensate(x, y, eq: Equilibrium) -> float:
@@ -204,8 +236,7 @@ def noncondensate(x, y, eq: Equilibrium) -> float:
 def rdm_rescaled(x, y, eq: Equilibrium) -> float:
     """|kappa|^{d/2} r(x,y): the combination with a finite open-trap limit
     above criticality."""
-    trap = eq.trap
-    return trap.kappa_abs ** (trap.dim / 2.0) * rdm_loops(x, y, eq)
+    return rdm_columns(x, y, eq)[1]
 
 
 def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
@@ -425,38 +456,54 @@ def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
     Returns None where no limit is claimed (d=2 noncondensate window).
     Raises RegimeError inside the critical band.
     """
+    return scaled_density_profile(delta, target, d, consts, ctl,
+                                  rescaled)(x)
+
+
+def scaled_density_profile(delta: float, target: CanonicalTarget, d: int,
+                           consts: PhysicalConstants = DEFAULT_CONSTANTS,
+                           ctl: SeriesControl = DEFAULT_CONTROL,
+                           rescaled: bool = False):
+    """`scaled_density_limit` as a function of the point x alone, for a
+    whole profile: the regime and, below nu_c, the open-trap mu0 are found
+    once, not once per point."""
     if not 0.0 <= delta <= 1.0:
         raise DomainError("delta must lie in [0, 1]")
     beta, nu = target.beta, target.nu
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
     lam = de_broglie(beta, consts)
-    v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
     side = critical_side(nu, nu_critical(beta, d, consts))
     if side == 0:
         raise RegimeError("nu inside the critical band")
-    if side < 0:
-        if rescaled:
-            return 0.0
-        mu0 = mu_open_trap(beta, nu, d, consts, ctl=ctl)
-        z = math.exp(beta * (mu0 - (v_x if delta == 1.0 else 0.0)))
-        return polylog(d / 2.0, z, ctl) / lam**d
+    mu0 = mu_open_trap(beta, nu, d, consts, ctl=ctl) \
+        if side < 0 and not rescaled else None
 
-    # supercritical
-    if rescaled:
-        amp = condensate_density(beta, nu, d, consts)
-        if delta < 0.5:
-            return amp
-        if delta == 0.5:
-            return amp * math.exp(-consts.mass * consts.omega0
-                                  * float(np.sum(xv**2)) / consts.hbar)
-        return 0.0
-    if d == 2 and delta < 1.0:
-        return None
-    if delta == 1.0:
-        return polylog(d / 2.0, math.exp(-beta * v_x), ctl) / lam**d
-    if d == 3 and delta > 0.5:
-        return polylog(1.5, 1.0) / lam**3
-    return math.inf
+    def limit(x) -> float | None:
+        xv = np.atleast_1d(np.asarray(x, dtype=float))
+        v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
+        if side < 0:
+            if rescaled:
+                return 0.0
+            z = math.exp(beta * (mu0 - (v_x if delta == 1.0 else 0.0)))
+            return polylog(d / 2.0, z, ctl) / lam**d
+
+        # supercritical
+        if rescaled:
+            amp = condensate_density(beta, nu, d, consts)
+            if delta < 0.5:
+                return amp
+            if delta == 0.5:
+                return amp * math.exp(-consts.mass * consts.omega0
+                                      * float(np.sum(xv**2)) / consts.hbar)
+            return 0.0
+        if d == 2 and delta < 1.0:
+            return None
+        if delta == 1.0:
+            return polylog(d / 2.0, math.exp(-beta * v_x), ctl) / lam**d
+        if d == 3 and delta > 0.5:
+            return polylog(1.5, 1.0) / lam**3
+        return math.inf
+
+    return limit
 
 
 def semiclassical_density(x, beta: float, mu: float, d: int,

@@ -4,19 +4,25 @@ normalized Hermite eigenfunctions, and the loop-series engine `_series`.
 All routines are pure and operate in 64-bit floating point.  Infinite sums
 are truncated where a certified tail bound falls below their rounding.
 
-Every loop-length sum of the package has a direct stretch of at most
-`_DIRECT_CAP` terms and an endpoint Euler-Maclaurin tail whose quadrature
-error estimate is checked against rel_tol (a TruncationWarning when it is
-not met).  The polylogarithm for xi < 1, the windows of `rdm`, the
-open-trap rdm and every row of a `thermo.gbec_band_sum` are summed by
-`_series`, whose tail `_em_sum` is an adaptive quadrature that calls its
-integrand at one loop length at a time; the rdm windows and the band rows
-hand it one that runs on Python floats.  Their summands depend on the
-point and the gap, so no tail of theirs is evaluated twice.  The loop sums
-nu and Omega of `thermo` take the same direct stretch and the same
-endpoint terms, but their tail's integrand has a gap-independent factor
-P_l - 1, which `thermo._LoopProduct` tabulates once per gap solve on a
-fixed Gauss-Legendre grid.
+Every loop-length sum of the package is summed directly when its terms fit
+in `_DIRECT_CAP`; a longer one has a direct stretch and an endpoint
+Euler-Maclaurin tail.  The tail's error estimate, its quadrature's estimate
+plus the endpoint remainder (11/720)|third difference| read off the summand
+where the tail starts, is checked against rel_tol (a TruncationWarning when
+it is not met).  Past the cap, the loop sums nu and Omega of `thermo` and
+the windows of `rdm` sum directly only the `_direct_length` loops after
+which that remainder falls below 1e-4 rel_tol of the sum, worked out from
+the summand's slowest decay rate; the polylogarithm for xi < 1, the
+open-trap rdm and every row of a `thermo.gbec_band_sum`, whose contract or
+tests are at rounding level, sum the whole cap.  `_series` sums the
+polylogarithm, the rdm windows, the open-trap rdm and the band rows; its
+tail `_em_sum` is an adaptive quadrature that calls its integrand at one
+loop length at a time (the rdm windows and the band rows hand it one that
+runs on Python floats).  Their
+summands depend on the point and the gap, so no tail of theirs is evaluated
+twice.  The tail of nu and Omega has the same endpoint terms, but its
+integrand has a gap-independent factor P_l - 1, which `thermo._LoopProduct`
+tabulates once per gap solve on a fixed Gauss-Legendre grid.
 """
 
 from __future__ import annotations
@@ -33,12 +39,19 @@ from .errors import DomainError, TruncationWarning
 
 _EULER_GAMMA = 0.5772156649015328606
 
-# longest direct stretch of every loop-length sum (polylog, nu, Omega, the
-# rdm windows and the open-trap rdm) and of every g-BEC band row; a longer
-# sum, or a trap with an axis that has not relaxed by then, takes an
-# Euler-Maclaurin tail (`_em_sum`, or for nu and Omega the tabulated rule
-# of `thermo._LoopProduct`)
+# longest direct stretch of every loop-length sum and of every g-BEC band
+# row.  A sum that fits in it is summed directly: a tail (`_em_sum`'s
+# quadrature, or for nu and Omega the tabulated rule of
+# `thermo._LoopProduct`) costs about as much as this many direct terms.  A
+# longer sum takes a tail after the whole cap (polylog, the open-trap rdm,
+# the band rows) or after `_direct_length` terms (nu, Omega, the rdm
+# windows).
 _DIRECT_CAP = 10**4
+
+# the endpoint terms of that tail, (f(l1) + f(l2))/2 plus f' by central
+# differences over 12, leave a remainder of about (1/720 + 1/72)|f'''| =
+# (11/720)|f'''| at each end
+_EM_REMAINDER = 11.0 / 720.0
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,39 @@ def _zeta_em(theta: float) -> float:
     return partial + tail
 
 
+def _direct_length(rate: float, rel_tol: float) -> int:
+    """Shortest direct stretch after which the endpoint Euler-Maclaurin tail
+    of a loop summand that decays at `rate` or faster leaves a remainder
+    below tol = 1e-4 rel_tol of the sum; at least 2 loops, at most
+    `_DIRECT_CAP` (read at call time).  nu, Omega and the rdm windows take
+    it when their sum does not fit in the cap.  The tolerance's 1e-4 keeps
+    the remainder near the accuracy the tail quadratures deliver, which
+    tests pin at 1e-12 to 1e-14 of the sum, while the length grows only
+    like tol^{-1/4}.
+
+    Each summand of nu, Omega and the rdm windows is a mix of exponentials
+    e^{-c l} with c >= rate: P_l - 1 expands into e^{-l sum_j m_j a_j},
+    m != 0, times e^{-l w0} and, for Omega, 1/l = int_0^inf e^{-tl} dt; a
+    window is the Mehler expansion of the kernel less its dyad, whose
+    weights psi_m(x) psi_m(y) are positive on the diagonal and, off it,
+    bounded by the diagonal's.  With n loops summed directly from l1, one
+    exponential leaves the remainder (11/720) c^3 e^{-c(l1 + n)} against
+    its sum e^{-c l1} / (1 - e^{-c}), a share below (11/720) c^4 e^{-cn},
+    and the largest share over c >= rate bounds the mix's.  It lies at
+    c = 4/n while rate n <= 4, which gives n = (4/e) (11/(720 tol))^{1/4}
+    (1,636 loops at tol = 1e-14), and at c = rate beyond, where
+    (11/720) rate^4 e^{-rate n} = tol; the two meet at rate n = 4, so the
+    length is continuous and falls as the rate grows.  The amplitudes q
+    and s of a window set the weights of its exponentials, not their
+    rates, so the rate and the tolerance alone fix the length.
+    """
+    k = _EM_REMAINDER / (1e-4 * rel_tol)
+    n = 4.0 / math.e * k ** 0.25
+    if rate * n > 4.0:
+        n = math.log(k * rate**4) / rate
+    return min(_DIRECT_CAP, max(2, math.ceil(n)))
+
+
 def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
             total: float) -> float:
     """sum_{l=l1}^{l2} f(l) by endpoint Euler-Maclaurin: the integral of f
@@ -111,9 +157,11 @@ def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
     the decay rates r) plus (f(l1)+f(l2))/2 and (f'(l2)-f'(l1))/12, with f'
     taken by central differences.  l2 <= l1 gives the single term f(l1).
 
-    Warns (TruncationWarning, carrying the estimate) when the quadrature
-    error estimate exceeds rel_tol of |total + the sum|, total being what
-    the caller has already summed.  This is the tail of `_series`; the loop
+    The error estimate is the quadrature's plus the endpoint remainder
+    (11/720)|third difference of f| over l1 - 2 ... l1 + 1, which takes one
+    more evaluation of f.  Warns (TruncationWarning, carrying the estimate)
+    when it exceeds rel_tol of |total + the sum|, total being what the
+    caller has already summed.  This is the tail of `_series`; the loop
     sums nu and Omega take `thermo._LoopProduct`'s tabulated rule instead.
     """
     if l2 <= l1:
@@ -128,24 +176,28 @@ def _em_sum(f, l1: float, l2: float, rates, rel_tol: float,
 
     val, err = integrate.quad(integrand, v1, v2, points=knots, limit=500,
                               epsabs=1e-300, epsrel=1e-11)
-    d1 = 0.5 * (f(l1 + 1.0) - f(l1 - 1.0))
+    f0, f1, f2, f3 = (f(l1 + k) for k in (-2.0, -1.0, 0.0, 1.0))
+    d1 = 0.5 * (f3 - f1)
     d2 = 0.5 * (f(l2 + 1.0) - f(l2 - 1.0))
-    s = val + 0.5 * (f(l1) + f(l2)) + (d2 - d1) / 12.0
+    s = val + 0.5 * (f2 + f(l2)) + (d2 - d1) / 12.0
+    err += _EM_REMAINDER * abs(f3 - 3.0 * f2 + 3.0 * f1 - f0)
     if err > rel_tol * abs(total + s):
         warnings.warn(TruncationWarning(err))
     return s
 
 
 def _series(f, l1: int, l2: int, rates, rel_tol: float,
-            f_float=None) -> float:
-    """sum_{l=l1}^{l2} f(l) for a vectorised summand f: the first
-    `_DIRECT_CAP` terms directly, the rest by `_em_sum` (rates and rel_tol
-    as there).  l2 < l1 gives 0.
+            f_float=None, stretch: int | None = None) -> float:
+    """sum_{l=l1}^{l2} f(l) for a vectorised summand f: directly when its
+    terms fit in `_DIRECT_CAP`, else the first `stretch` terms
+    (`_DIRECT_CAP` when not given) directly and the rest by `_em_sum`
+    (rates and rel_tol as there).  l2 < l1 gives 0.
 
     The tail integrand is f_float, the same summand at one float loop
     length, when given (the rdm windows pass one on Python floats), and
     float(f(l)) otherwise."""
-    l_direct = min(l2, l1 + _DIRECT_CAP - 1)
+    n = stretch if stretch and l2 - l1 >= _DIRECT_CAP else _DIRECT_CAP
+    l_direct = min(l2, l1 + n - 1)
     total = float(np.sum(f(np.arange(l1, l_direct + 1, dtype=float))))
     if l2 == l_direct:
         return total

@@ -7,8 +7,12 @@ for nu = |kappa|^d sum_l z^l Tr G(l beta) and weight 1/l for Omega.  Near
 condensation the gap Delta = E0 - mu becomes tiny and naive truncation would
 need ~1/(beta*Delta) terms.  The gap-independent product
 P_l = prod_j (1-e^{-a_j l})^{-1} is built once per gap solve, in
-`_LoopProduct`, for both series, over one direct stretch l <= L of at most
-`specfun._DIRECT_CAP` = 10^4 loops.  Each distinct axis rate is evaluated
+`_LoopProduct`, for both series, over one direct stretch l <= L: the
+length after which every axis has relaxed when that fits in
+`specfun._DIRECT_CAP` = 10^4 loops, else the `specfun._direct_length` of
+the slowest rate, after which the tail's endpoint remainder is below
+1e-4 rel_tol of the sum (1,636 loops at the default rel_tol when the
+slowest rate is below about 0.0024).  Each distinct axis rate is evaluated
 once, on the prefix of loops where its term is a normal float (a_j l below
 about 708.4), so the build takes no exponential of a subnormal and needs no
 clamp.  Beyond L, P_l = 1 + (P_l - 1): the P_l = 1 part is summed in closed
@@ -21,19 +25,19 @@ Euler-Maclaurin tail whose integral is a fixed composite Gauss-Legendre
 rule in log l: `_LoopProduct` tabulates P_l - 1 at its nodes once, with the
 build, so each trial gap's tail, for nu (weight 1) and Omega (weight 1/l)
 alike, is one vectorised exponential and two weighted sums: the 16-point
-rule on every panel, and the 8-point rule, whose difference from it is the
-error estimate checked against rel_tol.  The summand decays like
-e^{-(w0 + a_min) l}, and the tail ends after 2000 + |log scale| e-folds of
-that decay, so the rule never has to resolve the gap's cut-off e^{-l w0}
-of the ground-state part.
+rule on every panel, and the 8-point rule, whose difference from it, plus
+the endpoint remainder, is the error estimate checked against rel_tol.  The
+summand decays like e^{-(w0 + a_min) l}, and the tail ends after
+2000 + |log scale| e-folds of that decay, so the rule never has to resolve
+the gap's cut-off e^{-l w0} of the ground-state part.
 
 `solve_gap` inverts nu for the gap by Brent's method on log nu against
 log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
 `mu_open_trap` inverts the open-trap g_d the same way, on log g_d.
 
 `gbec_band_sum` sums occupations over rows of mode levels, each row one
-`specfun._series` (the same direct stretch, then the adaptive
-Euler-Maclaurin tail `specfun._em_sum`) of a Bose factor
+`specfun._series` (a direct stretch of `specfun._DIRECT_CAP` levels, then
+the adaptive Euler-Maclaurin tail `specfun._em_sum`) of a Bose factor
 times a level degeneracy, along the run of equal axes with the smallest
 kappa_j; the other run, if any, numbers the rows.
 """
@@ -117,16 +121,20 @@ def _axis_rates(beta: float, trap: TrapModel) -> np.ndarray:
     return beta * trap.consts.hbar * axis_omega_kappa(trap)
 
 
-def _split_axes(a: np.ndarray, ln_fac: float):
+def _split_axes(a: np.ndarray, ln_fac: float, rel_tol: float):
     """Choose the direct-summation length L and identify slow axes.
 
     L is the loop length beyond which every factor (1-e^{-a_j l})^{-1} is
-    within tolerance of 1, capped at `specfun._DIRECT_CAP`; the axes that
-    need longer are slow, and the remainder beyond L is then the
-    Euler-Maclaurin tail.
+    within tolerance of 1, when that fits in `specfun._DIRECT_CAP`.  Else
+    the axes that need longer are slow, the remainder beyond L is the
+    Euler-Maclaurin tail, and L is the `specfun._direct_length` after which
+    that tail meets its remainder target: P_l - 1 decays at the slowest
+    rate or faster, whatever the gap.
     """
     l_req = ln_fac / a
-    big_l = int(math.ceil(min(float(np.max(l_req)), specfun._DIRECT_CAP)))
+    big_l = int(math.ceil(float(np.max(l_req))))
+    if big_l > specfun._DIRECT_CAP:
+        big_l = specfun._direct_length(float(np.min(a)), rel_tol)
     return big_l, l_req > big_l
 
 
@@ -208,9 +216,11 @@ class _LoopProduct:
     float at L + 1, and per series the two weight rows times (1 - 1/P_l),
     with the endpoint coefficients in both rows and the nodes' Jacobian l
     (nu) or the endpoints' 1/l (Omega) as factors, not in the exponent,
-    where they would add the rounding of a larger sum.  With slow axes L is
-    `specfun._DIRECT_CAP`, so L + 2 lies below the first node and the
-    lengths are ascending.
+    where they would add the rounding of a larger sum.  L + 2 lies below
+    the first node from L = 189 on; a shorter L (a loose rel_tol) takes
+    log P over the lengths sorted.  The build also
+    keeps log P and the factors 1 - 1/P_l, and (1 - 1/P_l)/l, at
+    l = L - 1 ... L + 2, from which `_tail` reads the endpoint remainder.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
@@ -218,7 +228,7 @@ class _LoopProduct:
         rates = self.a.tolist()
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
-        self.big_l, self.slow = _split_axes(self.a, ln_fac)
+        self.big_l, self.slow = _split_axes(self.a, ln_fac, ctl.rel_tol)
         self.l = np.arange(1, self.big_l + 1, dtype=float)
         self.log_p = _log_product(rates, self.l)
         if self.slow.any():
@@ -234,9 +244,15 @@ class _LoopProduct:
              + _PANEL_NODES).ravel()
         ends = np.array([big_l, big_l + 1.0, big_l + 2.0])
         self._tail_l = np.concatenate([ends, np.exp(v)])
-        self._tail_log_p = _log_product(
+        order = np.argsort(self._tail_l, kind="stable")
+        self._tail_log_p = np.empty_like(self._tail_l)
+        self._tail_log_p[order] = _log_product(
             [a_j for a_j in rates if a_j * (big_l + 1.0) < _NORMAL_EXP],
-            self._tail_l)
+            self._tail_l[order])
+        end_l = big_l + np.arange(-1.0, 3.0)
+        end_log_p = np.concatenate([self.log_p[-2:-1], self._tail_log_p[:3]])
+        end_fac = -np.expm1(-end_log_p)
+        self._end = (end_l, end_log_p, np.stack([end_fac, end_fac / end_l]))
         # rows (16-point, 8-point), the endpoint coefficients in both; each
         # row is contiguous, so its sum over the nodes is numpy's pairwise
         # sum
@@ -255,16 +271,22 @@ class _LoopProduct:
         on the grid's panels up to l_max: one exponential and the pairwise
         sums of both weighted rows.  The summand decays like
         e^{-(w0 + a_min) l}, and l_max is where it has taken
-        2000 + |log_scale| e-folds of that decay.  |G8 - G16| is the error
-        estimate; a TruncationWarning carries it when it exceeds rel_tol of
-        |total + the tail|, total being the sum so far."""
+        2000 + |log_scale| e-folds of that decay.  The error estimate is
+        |G8 - G16| plus the endpoint remainder (11/720)|third difference of
+        the summand over L - 1 ... L + 2|; a TruncationWarning carries it
+        when it exceeds rel_tol of |total + the tail|, total being the sum
+        so far."""
         l_max = min(1e306, (2000.0 + abs(log_scale)) / (w0 + self._a_min))
         n = 3 + 24 * min(self._panels,
                          max(0, math.ceil(math.log(l_max) - self._v1)))
         f = np.exp(log_scale - w0 * self._tail_l[:n] + self._tail_log_p[:n])
         g16, g8 = np.sum(self._tail_w[int(per_loop), :, :n] * f,
                          axis=1).tolist()
-        err = abs(g8 - g16)
+        end_l, end_log_p, end_fac = self._end
+        f_end = np.exp(log_scale - w0 * end_l + end_log_p) \
+            * end_fac[int(per_loop)]
+        err = abs(g8 - g16) \
+            + specfun._EM_REMAINDER * abs(float(np.diff(f_end, 3)[0]))
         if err > self.rel_tol * abs(total + g16):
             warnings.warn(TruncationWarning(err))
         return g16

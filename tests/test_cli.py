@@ -5,9 +5,10 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
-from boseloops import specfun, thermo
+from boseloops import rdm, specfun, thermo
 from boseloops.cli import ResultTable, main, parse_config
 from boseloops.errors import DomainError
 
@@ -361,20 +362,24 @@ class TestDeterminism:
 
 class TestOneSolvePerRow:
     @staticmethod
-    def _count_solves(monkeypatch):
+    def _count_calls(monkeypatch, real):
         calls = []
-        real = thermo.solve_gap
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
-        # every boseloops namespace that binds solve_gap, not only its home
+        # every boseloops namespace that binds the function, not only its
+        # home
         for name, mod in list(sys.modules.items()):
             if name == "boseloops" or name.startswith("boseloops."):
                 for attr, value in list(vars(mod).items()):
                     if value is real:
                         monkeypatch.setattr(mod, attr, counted)
         return calls
+
+    @classmethod
+    def _count_solves(cls, monkeypatch):
+        return cls._count_calls(monkeypatch, thermo.solve_gap)
 
     @pytest.mark.parametrize("command, doc", [
         ("thermo", THERMO_DOC),
@@ -397,3 +402,31 @@ class TestOneSolvePerRow:
         code, _ = _run(tmp_path, "profile", doc)
         assert code == 0
         assert len(calls) == 1
+
+    def test_rdm_sums_each_row_once(self, tmp_path, monkeypatch):
+        # rdm, rdm_rescaled and noncondensate of a row come from one window
+        # sum (they were three)
+        calls = self._count_calls(monkeypatch, rdm._noncond_windows)
+        code, _ = _run(tmp_path, "rdm", {"kappa_ladder": [0.4, 0.2],
+                                         "nu": 2.0, "x": [0.3, 0.0, 0.1]})
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_profile_solves_mu0_once(self, tmp_path, monkeypatch):
+        # below nu_c the limit column needs the open-trap mu0, which does
+        # not depend on the point: one solve for the profile, besides the
+        # one behind the gap solve's closed-form guess (it was one per
+        # point), and the column is the per-point scaled_density_limit
+        grid = [0.1 * i for i in range(1, 41)]
+        doc = {"kappa": 0.05, "nu": 0.5, "delta": 1.0, "grid": grid}
+        calls = self._count_calls(monkeypatch, thermo.mu_open_trap)
+        code, out = _run(tmp_path, "profile", doc)
+        assert code == 0
+        assert len(calls) == 2
+        monkeypatch.undo()
+        _, _, rows = _parse_csv(out.read_text())
+        target = thermo.CanonicalTarget(1.0, 0.5)
+        for r, row in zip(grid, rows):
+            pred = rdm.scaled_density_limit(np.array([r, 0.0, 0.0]), 1.0,
+                                            target, 3)
+            assert row[2] == f"{pred:.17g}"

@@ -75,6 +75,26 @@ class TestStructure:
             + ground_state_product(x, x, trap) * float(bose(eq.gap))
         assert full == pytest.approx(split, rel=1e-12)
 
+    @pytest.mark.parametrize("trap", [Isotropic(3, 0.2), Quasi2D(0.05, 1.0)])
+    def test_columns_from_one_window_sum(self, trap, monkeypatch):
+        # the three columns of an rdm row are the three functions to the
+        # bit, from one window sum
+        from boseloops import rdm
+        from boseloops.rdm import rdm_columns
+        eq = _eq(trap, 2.0)
+        x, y = np.array([0.3, -0.2, 0.5]), np.array([-0.1, 0.4, 0.0])
+        want = (rdm_loops(x, y, eq), rdm_rescaled(x, y, eq),
+                noncondensate(x, y, eq))
+        calls = []
+        real = rdm._noncond_windows
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(rdm, "_noncond_windows", counted)
+        assert rdm_columns(x, y, eq) == want
+        assert len(calls) == 1
+
     def test_rescaled_scaling(self):
         trap = Isotropic(3, 0.2)
         eq = _eq(trap, 2.0)
@@ -122,8 +142,9 @@ class TestLoopDecomposition:
     def test_long_window_matches_direct_sum(self, monkeypatch, trap, nu,
                                             l_lo, l_hi):
         # independent route for the Euler-Maclaurin tail of a window: the
-        # direct sum over every loop of it, with the direct stretch raised
-        from boseloops import specfun
+        # direct sum over every loop of it, with the cap raised above the
+        # window
+        from boseloops import rdm, specfun
         from boseloops.rdm import _noncond_windows
         eq = _eq(trap, nu)
         points = [(np.zeros(3), np.zeros(3)),
@@ -131,9 +152,18 @@ class TestLoopDecomposition:
         cuts = [l_lo - 1, l_hi]
         tail = [_noncond_windows(x, y, eq, cuts)[0] for x, y in points]
         monkeypatch.setattr(specfun, "_DIRECT_CAP", 2 * 10**6)
+        sizes = []
+        real = rdm._delta_exponent
+
+        def recorded(l, *args):
+            sizes.append(np.size(l))
+            return real(l, *args)
+        monkeypatch.setattr(rdm, "_delta_exponent", recorded)
         for (x, y), val in zip(points, tail):
             assert val == pytest.approx(
                 _noncond_windows(x, y, eq, cuts)[0], rel=1e-12, abs=0.0)
+        # the reference summed every loop of the window directly
+        assert sizes == [l_hi - l_lo + 1] * 2
 
     @pytest.mark.parametrize("trap,nu", [
         (Isotropic(3, 1e-5), 2.4), (Quasi1D(0.3, 1.0), 4.0),
@@ -230,8 +260,9 @@ class TestLoopDecomposition:
         assert ndims == [1, 1, 1]
 
     def test_window_quadrature_error_is_reported(self, monkeypatch):
-        # the window tail warns with its quadrature error estimate when that
-        # exceeds rel_tol of the window sum
+        # the window tail warns with its error estimate, the quadrature's
+        # plus the far smaller endpoint remainder, when that exceeds
+        # rel_tol of the window sum
         import scipy.integrate
 
         eq = Equilibrium(1.0, Isotropic(3, 1e-5), SeriesControl(), 1e-7)
@@ -247,7 +278,81 @@ class TestLoopDecomposition:
         monkeypatch.setattr(scipy.integrate, "quad", sloppy)
         with pytest.warns(TruncationWarning) as record:
             assert noncondensate(x, x, eq) == ref
-        assert record[0].message.args == (1e-3 * ref,)
+        err, = record[0].message.args
+        assert 1e-3 * ref <= err <= (1e-3 + 1e-14) * ref
+
+    def test_short_stretch_warns_with_endpoint_remainder(self, monkeypatch):
+        # forced to 4 direct loops, the tail of this window starts where
+        # the fast axis (rate 0.05) has not relaxed: the endpoint remainder
+        # (11/720)|third difference of the summand at loops 3 ... 6| is far
+        # above rel_tol of the sum, and the warning carries it (with the
+        # quadrature's own estimate set to 0)
+        import scipy.integrate
+
+        from boseloops import specfun
+        from boseloops.kernels import log_ground_state_product
+        from boseloops.rdm import _kernel_axes, _window_summands
+        trap = Quasi2D(0.05, 1.0)
+        eq = _eq(trap, 2.0)
+        x, y = np.array([0.5, 0.0, 0.0]), np.zeros(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            ref = noncondensate(x, y, eq)
+        monkeypatch.setattr(specfun, "_direct_length", lambda rate, tol: 4)
+        real = scipy.integrate.quad
+        monkeypatch.setattr(scipy.integrate, "quad",
+                            lambda *args, **kw: (real(*args, **kw)[0], 0.0))
+        with pytest.warns(TruncationWarning) as record:
+            short = noncondensate(x, y, eq)
+        _, f = _window_summands(_kernel_axes(x, y, 1.0, trap),
+                                eq.beta * eq.gap,
+                                log_ground_state_product(x, y, trap))
+        f3, f4, f5, f6 = (f(l) for l in (3.0, 4.0, 5.0, 6.0))
+        rem = 11.0 / 720.0 * abs(f6 - 3.0 * f5 + 3.0 * f4 - f3)
+        assert record[0].message.args == (rem,)
+        assert rem > 1e-6 * abs(short)
+        assert short != ref
+
+    def test_delta_exponent_takes_no_subnormal_term(self, monkeypatch):
+        # each rate's terms are evaluated only on the loops where they are
+        # normal floats: no argument at or beyond the normal-float bound of
+        # e^{-u} reaches log1mexp, whose argument 2u stops there; what is
+        # left out is below the smallest normal float
+        import sys
+
+        from boseloops import rdm
+        from boseloops.rdm import _delta_exponent, _kernel_axes
+        normal_exp = -math.log(sys.float_info.min)
+        axes = _kernel_axes(np.array([1.0, 0.5, -0.4]),
+                            np.array([0.3, -0.2, 0.1]), 1.0,
+                            Quasi2D(0.05, 1.0))
+        l = np.arange(1.0, 30_001.0)
+        seen = []
+        real = rdm.log1mexp
+
+        def recorded(v):
+            seen.append((np.size(v), np.max(v)))
+            return real(v)
+        monkeypatch.setattr(rdm, "log1mexp", recorded)
+        got = _delta_exponent(l, axes)
+        # the stiff rate 0.05 crosses both bounds within the stretch, the
+        # soft pair's rate neither
+        stiff, soft = axes[0][0], axes[1][0]
+        n2 = int(np.sum(2.0 * stiff * l < normal_exp))
+        assert n2 < l.size and 2.0 * soft * l[-1] < normal_exp
+        assert seen[0][0] == n2 and seen[1][0] == l.size
+        assert max(v for _, v in seen) < normal_exp
+        # the whole-stretch form, every term evaluated
+        ref = np.zeros_like(l)
+        for a, q, s in axes:
+            u = a * l
+            eu = np.exp(-u)
+            plus, minus = eu / (1.0 + eu), eu / -np.expm1(-u)
+            minus *= plus
+            ref -= 0.5 * real(2.0 * u)
+            ref += q * plus - s * minus
+        assert np.allclose(got, ref, rtol=0.0, atol=sys.float_info.min)
+        assert np.array_equal(got[:n2], ref[:n2])
 
     def test_isotropic_sigma_window(self):
         trap = Isotropic(3, 0.2)

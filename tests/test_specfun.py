@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from boseloops import specfun
 from boseloops.errors import DomainError, TruncationWarning
 from boseloops.specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL,
                                PhysicalConstants, SeriesControl, de_broglie,
@@ -208,3 +209,54 @@ class TestConfigObjects:
     def test_defaults(self):
         assert DEFAULT_CONTROL.sigma == 1.25
         assert DEFAULT_CONSTANTS.hbar == 1.0
+
+
+class TestDirectLength:
+    """`specfun._direct_length`: the direct stretch after which the endpoint
+    Euler-Maclaurin tail leaves a remainder below 1e-4 rel_tol of the sum."""
+
+    @staticmethod
+    def _remainder_share(c, n):
+        # one exponential e^{-cl} summed from l = 1: n loops directly, then
+        # the integral from n + 1, f(n + 1)/2 and f' by central differences
+        # over 12; its error against the whole sum e^{-c}/(1 - e^{-c})
+        with mpmath.workdps(40):
+            c = mpmath.mpf(c)
+            tail = mpmath.exp(-c * (n + 1)) / -mpmath.expm1(-c)
+            em = mpmath.exp(-c * (n + 1)) / c \
+                + mpmath.exp(-c * (n + 1)) / 2 \
+                - (mpmath.exp(-c * (n + 2)) - mpmath.exp(-c * n)) / 24
+            return float(abs(tail - em) / (mpmath.exp(-c) / -mpmath.expm1(-c)))
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-9, 1e-5, 1e-3, 2.4e-3, 3e-3,
+                                      1e-2, 0.1, 0.44, 1.0, 10.0])
+    def test_remainder_below_target(self, rate):
+        # every exponential that decays at the rate or faster, the slowest
+        # included and the worst (c = 4/n) where it is faster, meets
+        # 1e-4 rel_tol, the bound the length is built on
+        n = specfun._direct_length(rate, DEFAULT_CONTROL.rel_tol)
+        assert 2 <= n <= specfun._DIRECT_CAP
+        for c in {max(rate, 1e-12), max(rate, 4.0 / n), 2.0 * rate + 1e-12,
+                  10.0 * rate + 1e-12}:
+            assert self._remainder_share(c, n) <= 1e-14
+
+    def test_continuous_and_falling_in_the_rate(self):
+        # the power-law length (1,636 loops at rel_tol 1e-10) meets the
+        # exponential one at rate n = 4 without a jump, and the length
+        # never grows with the rate
+        rates = np.geomspace(1e-4, 10.0, 4001)
+        n = np.array([specfun._direct_length(r, DEFAULT_CONTROL.rel_tol)
+                      for r in rates])
+        assert n[0] == 1_636
+        assert np.all(np.diff(n) <= 0)
+        # neighbouring rates 0.23% apart move the length by at most 0.4%
+        assert np.all(-np.diff(n) <= 0.004 * n[:-1] + 1)
+
+    def test_tolerance_and_cap(self, monkeypatch):
+        # the length grows like rel_tol^{-1/4} up to the cap, which is read
+        # at call time
+        short = specfun._direct_length(1e-6, 1e-6)
+        assert short == pytest.approx(1_636 / 10.0, abs=1.0)
+        assert specfun._direct_length(1e-6, 1e-30) == specfun._DIRECT_CAP
+        monkeypatch.setattr(specfun, "_DIRECT_CAP", 100)
+        assert specfun._direct_length(1e-6, 1e-10) == 100

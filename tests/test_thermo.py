@@ -103,9 +103,10 @@ class TestLoopNumber:
 
     def test_slow_axis_tail_continuity(self, monkeypatch):
         # these traps relax within 2*10^6 loops but not within the 10^4 of
-        # the default direct stretch: the Euler-Maclaurin tail from 10^4 + 1
-        # must agree with the long direct stretch and its geometric tail,
-        # also at condensed gaps far below the slowest rate
+        # the cap: the Euler-Maclaurin tail after their computed direct
+        # stretch must agree with the long direct stretch, which runs until
+        # every axis has relaxed, and its geometric tail, also at condensed
+        # gaps far below the slowest rate
         traps = [Quasi1D(0.4, 1.0), Quasi1D(0.35, 1.0), Quasi2D(0.05, 1.0),
                  Quasi2D(0.03, 1.0), Isotropic(3, 1e-3)]
         em = [thermo._LoopProduct(1.0, t, DEFAULT_CONTROL) for t in traps]
@@ -113,6 +114,7 @@ class TestLoopNumber:
         for trap, tail in zip(traps, em):
             ref = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
             assert not ref.slow.any() and tail.slow.any()
+            assert ref.big_l > 10 * tail.big_l
             log_scale = trap.dim * math.log(trap.kappa_abs)
             for gap in (1e-2, 1e-6, 1e-12, 1e-15, 1e-20, 1e-100):
                 assert tail.sum(gap, log_scale) == pytest.approx(
@@ -253,22 +255,25 @@ class TestLoopProduct:
 
     def test_product_built_once_with_slow_axis(self, monkeypatch):
         # the stiff pair shares one evaluation, which ends where its term
-        # leaves the normal floats; the tail's grid takes the slow axis
-        # only, once, and no trial gap evaluates a loop factor
-        trap = Quasi1D(0.3, 1.0)
+        # leaves the normal floats, before the end of the direct stretch;
+        # the tail's grid takes the slow axis only, once, and no trial gap
+        # evaluates a loop factor
+        trap = Quasi1D(0.5, 1.2)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-        assert prod.slow.any() and prod.big_l == 10_000
+        assert prod.slow.any() and prod.big_l == 1_636
+        assert prod.big_l == specfun._direct_length(prod.a[0],
+                                                    DEFAULT_CONTROL.rel_tol)
         stiff = prod.a[1]
         assert prod.a[2] == stiff
         n_stiff = int(np.sum(stiff * prod.l < NORMAL_EXP))
-        assert n_stiff == 2_361
+        assert n_stiff == 1_416
         assert stiff * n_stiff < NORMAL_EXP <= stiff * (n_stiff + 1)
         assert stiff * (prod.big_l + 1) >= NORMAL_EXP
         n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
         assert 0 < n_grid <= prod._tail_l.size
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 4.0), trap)
-        assert sizes == [10_000, n_stiff, n_grid]
+        assert sizes == [1_636, n_stiff, n_grid]
 
     @pytest.mark.parametrize("kappa", [0.4, 0.35, 0.3, 0.25])
     def test_product_build_takes_no_subnormal_term(self, kappa, monkeypatch):
@@ -281,10 +286,11 @@ class TestLoopProduct:
             seen.append(np.max(v))
             return real(v)
         monkeypatch.setattr(thermo, "log1mexp", recorded)
-        # (the slow and the stiff rate on the direct stretch, the slow rate
-        # on the tail's grid)
-        thermo._LoopProduct(1.0, Quasi1D(kappa, 1.0), DEFAULT_CONTROL)
-        assert len(seen) == 3 and max(seen) < NORMAL_EXP
+        # (the slow and the stiff rate on the direct stretch and on the
+        # tail's grid: the stiff term is still a normal float at L + 1)
+        prod = thermo._LoopProduct(1.0, Quasi1D(kappa, 1.0), DEFAULT_CONTROL)
+        assert prod.a[1] * (prod.big_l + 1) < NORMAL_EXP
+        assert len(seen) == 4 and max(seen) < NORMAL_EXP
 
     def test_isotropic_product_is_one_evaluation(self, monkeypatch):
         # one evaluation of the shared rate on the direct stretch and one on
@@ -292,7 +298,8 @@ class TestLoopProduct:
         sizes = self._log1mexp_sizes(monkeypatch)
         prod = thermo._LoopProduct(1.0, Isotropic(3, 1e-5), DEFAULT_CONTROL)
         n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
-        assert sizes == [10_000, n_grid]
+        assert prod.big_l == 1_636
+        assert sizes == [1_636, n_grid]
 
     def test_panel_rule_is_gauss_legendre(self):
         # on [0, 1] the 16-point row integrates t^k exactly for k < 32 and
@@ -309,13 +316,14 @@ class TestLoopProduct:
             assert np.allclose(t[on], 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
             assert np.allclose(w[row, on], 0.5 * wx, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("trap", [Quasi1D(0.3, 1.0), Quasi2D(0.01, 1.0),
+    @pytest.mark.parametrize("trap", [Quasi1D(0.5, 1.2), Quasi2D(0.01, 1.0),
                                       Isotropic(3, 1e-5)])
     def test_float_tail_matches_array_form(self, trap):
         # the tail grid's log P against the outer-product form over the
-        # axes the tail keeps (those whose term is a normal float at L + 1),
-        # each term kept where it is a normal float: bit for bit, at the
-        # three endpoint lengths L, L + 1, L + 2 and at the ascending nodes
+        # axes the tail keeps (those whose term is a normal float at L + 1;
+        # the quasi-1D stiff pair has left them), each term kept where it
+        # is a normal float: bit for bit, at the three endpoint lengths
+        # L, L + 1, L + 2 and at the ascending nodes
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
         l = prod._tail_l
         assert np.array_equal(l[:3], prod.big_l + np.arange(3.0))
@@ -337,10 +345,33 @@ class TestLoopProduct:
         assert last - 1.0 < v_end <= last
         assert l.size == 3 + 24 * prod._panels
 
+    def test_short_stretch_grid_is_taken_in_order(self):
+        # under a loose rel_tol the stretch is shorter than the first node's
+        # distance from L + 1, so L + 2 lies above it: log P on the grid is
+        # still the outer-product form at each length, and nu agrees with
+        # the default control's to the loose tolerance
+        trap = Isotropic(3, 1e-5)
+        loose = SeriesControl(rel_tol=1e-4)
+        prod = thermo._LoopProduct(1.0, trap, loose)
+        l = prod._tail_l
+        assert prod.slow.any() and prod.big_l < 189
+        assert not np.all(np.diff(l) > 0.0)
+        u = np.outer(prod.a, l)
+        ref = -np.sum(np.where(u < NORMAL_EXP,
+                               log1mexp(np.minimum(u, NORMAL_EXP)), 0.0),
+                      axis=0)
+        assert np.array_equal(prod._tail_log_p, ref)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu = nu_rescaled(Equilibrium(1.0, trap, loose, 1e-9))
+        assert nu == pytest.approx(nu_rescaled(_eq(trap, 1e-9)), rel=1e-4)
+
     def test_tail_quadrature_error_is_reported(self):
-        # the tail's estimate is |G8 - G16| of its two Gauss-Legendre
-        # rows; it meets the default rel_tol and warns, carrying it,
-        # under a tolerance no double-precision sum can meet
+        # the tail's estimate is |G8 - G16| of its two Gauss-Legendre rows
+        # plus the endpoint remainder (11/720)|third difference of the
+        # summand over L - 1 ... L + 2|; it meets the default rel_tol and
+        # warns, carrying it, under a tolerance no double-precision sum can
+        # meet
         trap = Quasi1D(0.3, 1.0)
         eq = _eq(trap, 1e-6)
         with warnings.catch_warnings():
@@ -354,10 +385,17 @@ class TestLoopProduct:
             > prod._tail_l[-1]
         f = np.exp(log_scale - 1e-6 * prod._tail_l + prod._tail_log_p)
         g16, g8 = np.sum(prod._tail_w[0] * f, axis=1)
-        assert 0.0 < abs(g8 - g16) <= DEFAULT_CONTROL.rel_tol * nu
+        # the stiff pair's terms have left the normal floats by L - 1
+        l = prod.big_l + np.arange(-1.0, 3.0)
+        assert prod.a[1] * l[0] >= NORMAL_EXP
+        log_p = -log1mexp(prod.a[0] * l)
+        f_end = np.exp(log_scale - 1e-6 * l + log_p) * -np.expm1(-log_p)
+        rem = 11.0 / 720.0 * abs(float(np.diff(f_end, 3)[0]))
+        assert 0.0 < rem < abs(g8 - g16) <= DEFAULT_CONTROL.rel_tol * nu
         with pytest.warns(TruncationWarning) as record:
-            assert nu_rescaled(Equilibrium(1.0, trap, tight, 1e-6)) == nu
-        assert record[0].message.args == (abs(g8 - g16),)
+            assert nu_rescaled(Equilibrium(1.0, trap, tight, 1e-6)) \
+                == pytest.approx(nu, rel=1e-14, abs=0.0)
+        assert record[0].message.args == (abs(g8 - g16) + rem,)
 
 
 class TestCriticalNumbers:
@@ -877,3 +915,46 @@ class TestOccupationAndBand:
     def test_band_empty_when_epsilon_below_first_level(self):
         eq = Equilibrium.solve(CanonicalTarget(1.0, 1.0), Isotropic(3, 0.3))
         assert gbec_band_sum(eq, 0.05) == 0.0
+
+
+class TestDirectStretch:
+    # about 12 kappa per model across the ladders' range, each at a
+    # condensed, a deep and a large gap; the isotropic sweep starts where
+    # nu and Omega still relax within the cap (kappa above about 2.5e-3)
+    SWEEP = {"quasi2d": [Quasi2D(k, 1.0)
+                         for k in np.geomspace(0.05, 0.002, 12)],
+             "quasi1d": [Quasi1D(k, 1.0)
+                         for k in np.geomspace(0.4, 0.05, 12)],
+             "isotropic": [Isotropic(3, k)
+                           for k in np.geomspace(4e-3, 1e-7, 13)]}
+
+    @staticmethod
+    def _sums(trap):
+        log_scale = trap.dim * math.log(trap.kappa_abs)
+        loops = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        x, y = np.array([0.5, 0.2, 0.0]), np.array([0.0, 0.1, 0.3])
+        sums = []
+        for gap in (1e-300, 1e-12, 1.0):
+            eq = _eq(trap, gap)
+            sums.append((loops.sum(gap, log_scale), loops.log_partition(gap),
+                         rdm.noncondensate(x, y, eq)))
+        return loops.big_l, sums
+
+    @pytest.mark.parametrize("model", SWEEP)
+    def test_continuity_sweep(self, model, monkeypatch):
+        # nu, Omega and an off-diagonal window sum from the computed
+        # stretch agree with the cap's stretch, forced through
+        # `specfun._direct_length`, across the ladders and across the
+        # switch from a sum within the cap to a tail, and no call warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trap in self.SWEEP[model]:
+                big_l, sums = self._sums(trap)
+                with monkeypatch.context() as m:
+                    m.setattr(specfun, "_direct_length",
+                              lambda rate, rel_tol: specfun._DIRECT_CAP)
+                    long_l, refs = self._sums(trap)
+                assert big_l == long_l < specfun._DIRECT_CAP \
+                    or big_l < long_l == specfun._DIRECT_CAP
+                for got, want in zip(sums, refs):
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
