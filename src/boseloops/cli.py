@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Subcommands: thermo, mu-solve, rdm, profile, loops, aniso-check.  Each reads
-a JSON config (--config), evaluates over the configured kappa ladder or grid
-and writes a ResultTable as CSV ('#'-prefixed metadata lines, header row,
-17-significant-digit floats) or JSON.  Output is deterministic: identical
-configs produce byte-identical files.  Rows are computed one after another;
---threads is still accepted but has no effect.
+Commands: thermo, mu-solve, rdm, profile, loops, aniso-check, the one
+positional argument of a single parser; every command takes the same
+options.  Each reads a JSON config (--config), evaluates over the
+configured kappa ladder or grid and writes a ResultTable as CSV
+('#'-prefixed metadata lines, header row, 17-significant-digit floats) or
+JSON.  Output is deterministic: identical configs produce byte-identical
+files.  Rows are computed one after another; --threads is still accepted
+but has no effect.
 
 Exit codes: 0 success, 2 config/domain error, 3 convergence error, 4 IO.
 """
@@ -365,15 +367,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="boseloops",
         description="Loop-series thermodynamics and reduced density matrices "
                     "of harmonically trapped ideal Bose gases.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to JSON config")
-        p.add_argument("--output", default=None,
-                       help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1,
-                       help="ignored: rows are computed one after another")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to JSON config")
+    parser.add_argument("--output", default=None,
+                        help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="ignored: rows are computed one after another")
     return parser
 
 

@@ -31,9 +31,12 @@ summand decays like e^{-(w0 + a_min) l}, and the tail ends after
 2000 + |log scale| e-folds of that decay, so the rule never has to resolve
 the gap's cut-off e^{-l w0} of the ground-state part.
 
-`solve_gap` inverts nu for the gap by Brent's method on log nu against
-log Delta, from a bracket grown around the closed-form `gap_asymptotic`;
-`mu_open_trap` inverts the open-trap g_d the same way, on log g_d.
+`solve_gap` inverts nu for the gap by safeguarded Newton steps on log nu
+against log Delta (`_newton_root`), from the closed-form `gap_asymptotic`:
+each trial gap takes nu and its slope from the same exponentials, the
+slope's terms being nu's weighted by the loop length l
+(`_LoopProduct.sum_and_slope`).  `mu_open_trap` inverts the open-trap g_d
+with the same root finder, on log g_d with slope g_{d-1}/g_d.
 
 `gbec_band_sum` sums occupations over rows of mode levels, each row one
 `specfun._series` (a direct stretch of `specfun._DIRECT_CAP` levels, then
@@ -122,20 +125,19 @@ def _axis_rates(beta: float, trap: TrapModel) -> np.ndarray:
 
 
 def _split_axes(a: np.ndarray, ln_fac: float, rel_tol: float):
-    """Choose the direct-summation length L and identify slow axes.
+    """Choose the direct-summation length L and whether an axis is slow.
 
     L is the loop length beyond which every factor (1-e^{-a_j l})^{-1} is
-    within tolerance of 1, when that fits in `specfun._DIRECT_CAP`.  Else
-    the axes that need longer are slow, the remainder beyond L is the
-    Euler-Maclaurin tail, and L is the `specfun._direct_length` after which
-    that tail meets its remainder target: P_l - 1 decays at the slowest
-    rate or faster, whatever the gap.
+    within tolerance of 1, when that fits in `specfun._DIRECT_CAP`; then no
+    axis is slow.  Else the axes that need longer are slow, the remainder
+    beyond L is the Euler-Maclaurin tail, and L is the
+    `specfun._direct_length` after which that tail meets its remainder
+    target: P_l - 1 decays at the slowest rate or faster, whatever the gap.
     """
-    l_req = ln_fac / a
-    big_l = int(math.ceil(float(np.max(l_req))))
-    if big_l > specfun._DIRECT_CAP:
-        big_l = specfun._direct_length(float(np.min(a)), rel_tol)
-    return big_l, l_req > big_l
+    big_l = int(math.ceil(float(np.max(ln_fac / a))))
+    if big_l <= specfun._DIRECT_CAP:
+        return big_l, False
+    return specfun._direct_length(float(np.min(a)), rel_tol), True
 
 
 # the positive nodes x and their weights of the 16- and 8-point
@@ -231,7 +233,7 @@ class _LoopProduct:
         self.big_l, self.slow = _split_axes(self.a, ln_fac, ctl.rel_tol)
         self.l = np.arange(1, self.big_l + 1, dtype=float)
         self.log_p = _log_product(rates, self.l)
-        if self.slow.any():
+        if self.slow:
             self._build_tail(rates)
 
     def _build_tail(self, rates: list):
@@ -266,7 +268,7 @@ class _LoopProduct:
             w / np.concatenate([ends, np.ones(v.size)])])
 
     def _tail(self, w0: float, log_scale: float, per_loop: bool,
-              total: float) -> float:
+              total: float):
         """sum_{l>L} e^{log_scale - l w0} (P_l - 1), times 1/l if per_loop,
         on the grid's panels up to l_max: one exponential and the pairwise
         sums of both weighted rows.  The summand decays like
@@ -275,13 +277,15 @@ class _LoopProduct:
         |G8 - G16| plus the endpoint remainder (11/720)|third difference of
         the summand over L - 1 ... L + 2|; a TruncationWarning carries it
         when it exceeds rel_tol of |total + the tail|, total being the sum
-        so far."""
+        so far.  Returns G16 and its terms with their loop lengths l, so
+        that an l-weighted sum can reuse them."""
         l_max = min(1e306, (2000.0 + abs(log_scale)) / (w0 + self._a_min))
         n = 3 + 24 * min(self._panels,
                          max(0, math.ceil(math.log(l_max) - self._v1)))
-        f = np.exp(log_scale - w0 * self._tail_l[:n] + self._tail_log_p[:n])
-        g16, g8 = np.sum(self._tail_w[int(per_loop), :, :n] * f,
-                         axis=1).tolist()
+        l = self._tail_l[:n]
+        terms = self._tail_w[int(per_loop), :, :n] \
+            * np.exp(log_scale - w0 * l + self._tail_log_p[:n])
+        g16, g8 = np.sum(terms, axis=1).tolist()
         end_l, end_log_p, end_fac = self._end
         f_end = np.exp(log_scale - w0 * end_l + end_log_p) \
             * end_fac[int(per_loop)]
@@ -289,18 +293,38 @@ class _LoopProduct:
             + specfun._EM_REMAINDER * abs(float(np.diff(f_end, 3)[0]))
         if err > self.rel_tol * abs(total + g16):
             warnings.warn(TruncationWarning(err))
-        return g16
+        return g16, terms[0], l
 
     def sum(self, w0: float, log_scale: float) -> float:
-        """e^{log_scale} sum_{l>=1} e^{-l w0} P_l: the direct stretch, the
+        """e^{log_scale} sum_{l>=1} e^{-l w0} P_l, by `sum_and_slope`."""
+        return self.sum_and_slope(w0, log_scale)[0]
+
+    def sum_and_slope(self, w0: float,
+                      log_scale: float) -> tuple[float, float]:
+        """The sum s = e^{log_scale} sum_{l>=1} e^{-l w0} P_l, and w0 S with
+        S = e^{log_scale} sum_{l>=1} l e^{-l w0} P_l = -ds/dw0, so that
+        d log s / d log w0 = -w0 S / s.  s is the direct stretch, the
         P_l = 1 part beyond L exactly (the ground-state occupation's
-        geometric series) and, with slow axes, the tail of P_l - 1."""
-        total = float(np.sum(np.exp(log_scale - self.l * w0 + self.log_p)))
-        total += math.exp(log_scale - (self.big_l + 1) * w0) \
-            / (-math.expm1(-w0))
-        if not np.any(self.slow):
-            return total
-        return total + self._tail(w0, log_scale, False, total)
+        geometric series) and, with slow axes, the tail of P_l - 1.  w0 S
+        takes the same exponentials: the direct stretch's and the tail's
+        G16 terms summed a second time with weight w0 l (bounded by the
+        tail's 2000 + |log_scale| e-folds, so no product overflows), and
+        the geometric part's l-weighted sum in closed form.  S has no error
+        estimate: it only steers the Newton steps of `solve_gap`, whose
+        root the sign of s - nu fixes."""
+        e = np.exp(log_scale - self.l * w0 + self.log_p)
+        total = float(np.sum(e))
+        slope = w0 * float(np.dot(self.l, e))
+        # with q = 1 - e^{-w0}: sum_{l>L} e^{-l w0} = g = e^{-(L+1) w0}/q
+        # and sum_{l>L} l e^{-l w0} = g (L + 1 + e^{-w0}/q)
+        q = -math.expm1(-w0)
+        geo = math.exp(log_scale - (self.big_l + 1) * w0) / q
+        total += geo
+        slope += geo * w0 * (self.big_l + 1 + math.exp(-w0) / q)
+        if not self.slow:
+            return total, slope
+        tail, terms, l = self._tail(w0, log_scale, False, total)
+        return total + tail, slope + float(np.dot(terms, w0 * l))
 
     def log_partition(self, w0: float) -> float:
         """sum_{l>=1} e^{-l w0} P_l / l: the P_l = 1 part exactly as
@@ -309,9 +333,9 @@ class _LoopProduct:
         l = self.l
         total = float(np.sum(np.exp(-l * w0) * np.expm1(self.log_p) / l))
         total += -float(log1mexp(w0))
-        if not np.any(self.slow):
+        if not self.slow:
             return total
-        return total + self._tail(w0, 0.0, True, total)
+        return total + self._tail(w0, 0.0, True, total)[0]
 
 
 def nu_rescaled(eq: Equilibrium) -> float:
@@ -413,23 +437,59 @@ def nu_m(beta: float, trap: TrapModel) -> float:
         omega_c**2 / (trap.consts.hbar * beta * trap.omega0**3)
 
 
+def _newton_root(f, x: float, lo: float, hi: float, xtol: float,
+                 unbracketed: str) -> float:
+    """The root of a decreasing f on [lo, hi] by safeguarded Newton steps
+    from x; f(x) returns (f, f').  Every evaluation updates the sign
+    bracket: the largest x with f > 0 and the smallest with f < 0, one of
+    which is the latest x.  Until both are known, a step that leaves the
+    window, or that has no usable slope, goes to the window edge ahead, and
+    f keeping its sign there raises BracketError(unbracketed); after that, a
+    step that leaves the bracket is replaced by bisection.  Stops when the
+    step is at most xtol + 8.9e-16 |x| (the tolerances of scipy's
+    brentq)."""
+    below = above = None
+    while True:
+        fx, dfx = f(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            below = x
+        else:
+            above = x
+        newton = x - fx / dfx if -math.inf < dfx < 0.0 else math.nan
+        if below is None or above is None:
+            edge = hi if above is None else lo
+            if x == edge:
+                raise BracketError(unbracketed)
+            step = newton if min(x, edge) <= newton <= max(x, edge) else edge
+        elif below < newton < above \
+                or abs(newton - x) <= xtol + 8.9e-16 * abs(newton):
+            step = newton
+        else:
+            step = 0.5 * (below + above)
+        if abs(step - x) <= xtol + 8.9e-16 * abs(step):
+            return step
+        x = step
+
+
 def solve_gap(target: CanonicalTarget, trap: TrapModel,
               ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Invert nu(mu) = target.nu for the gap Delta = E0 - mu > 0.
 
-    Finds the root of log nu(Delta) - log target.nu in log(Delta) by Brent's
-    method, from one `_LoopProduct` for all trial gaps.  The search starts at
-    `gap_asymptotic`, clamped into the window [the smallest normal float,
-    E0 + 50/beta] (so every trial gap is a normal float, however small E0
-    is), and grows a bracket away from it (first step 0.5 in log Delta,
-    each next step four times longer) until nu crosses the target; within
-    the critical band, where there is no closed-form guess, the bracket is
-    the whole window.  log nu is nearly linear in log Delta in every regime
-    (nu ~ 1/Delta when condensed), so few evaluations are needed.  The gap
-    (not mu) is the primary unknown because deep in the condensed regimes
-    Delta is exponentially small and would be lost entirely to rounding in
-    E0 - mu.  Raises BracketError when nu does not cross the target within
-    the window.
+    Finds the root of log nu(Delta) - log target.nu in x = log(Delta) by
+    safeguarded Newton steps (`_newton_root`), from one `_LoopProduct` for
+    all trial gaps: each gives nu and its slope d log nu / dx = -w0 S / nu
+    from one exponential per loop length (`_LoopProduct.sum_and_slope`).
+    The window is [the smallest normal float, E0 + 50/beta] (so every trial
+    gap is a normal float, however small E0 is).  The steps start at
+    `gap_asymptotic`, clamped into the window; within the critical band,
+    where there is no closed-form guess, at the window's upper edge.  log nu
+    is nearly linear in log Delta in every regime (nu ~ 1/Delta when
+    condensed), so few evaluations are needed.  The gap (not mu) is the
+    primary unknown because deep in the condensed regimes Delta is
+    exponentially small and would be lost entirely to rounding in E0 - mu.
+    Raises BracketError when nu does not cross the target within the window.
     """
     beta, nu = target.beta, target.nu
     e0 = ground_energy(trap)
@@ -437,46 +497,26 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
     log_nu = math.log(nu)
     loops = _LoopProduct(beta, trap, ctl)
 
-    def f(log_delta: float) -> float:
-        s = loops.sum(beta * math.exp(log_delta), log_scale)
-        return math.log(s) - log_nu if s > 0.0 else -math.inf
+    def f(log_delta: float) -> tuple[float, float]:
+        w0 = beta * math.exp(log_delta)
+        s, slope = loops.sum_and_slope(w0, log_scale)
+        if s > 0.0:
+            return math.log(s) - log_nu, -slope / s
+        return -math.inf, math.nan
 
     lo_edge = math.log(sys.float_info.min)
     hi_edge = math.log(e0 + 50.0 / beta)
-
-    def unbracketed() -> BracketError:
-        return BracketError(f"nu={nu} not bracketed by the gap window "
-                            f"[{math.exp(lo_edge)}, {math.exp(hi_edge)}]")
 
     try:
         guess = gap_asymptotic(target, trap, ctl)
     except RegimeError:
         guess = math.nan
-    if math.isfinite(guess) and guess > 0.0:
-        x = min(max(math.log(guess), lo_edge), hi_edge)
-        fx = f(x)
-        # nu falls as the gap grows: above the target, the root lies up
-        up = fx > 0.0
-        edge = hi_edge if up else lo_edge
-        y, fy, step = x, fx, 0.5
-        while fy != 0.0 and (fy > 0.0) == up:
-            if y == edge:
-                raise unbracketed()
-            x, fx = y, fy
-            y = min(y + step, edge) if up else max(y - step, edge)
-            fy = f(y)
-            step *= 4.0
-        (lo, f_lo), (hi, f_hi) = sorted([(x, fx), (y, fy)])
-    else:
-        lo, hi = lo_edge, hi_edge
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo < 0.0 or f_hi > 0.0:
-            raise unbracketed()
-    known = {lo: f_lo, hi: f_hi}
-    from scipy import optimize
-    root = optimize.brentq(lambda x: known[x] if x in known else f(x),
-                           lo, hi, xtol=1e-12, rtol=8.9e-16, maxiter=200)
-    return math.exp(root)
+    x = min(max(math.log(guess), lo_edge), hi_edge) \
+        if math.isfinite(guess) and guess > 0.0 else hi_edge
+    return math.exp(_newton_root(
+        f, x, lo_edge, hi_edge, 1e-12,
+        f"nu={nu} not bracketed by the gap window "
+        f"[{math.exp(lo_edge)}, {math.exp(hi_edge)}]"))
 
 
 def solve_mu(target: CanonicalTarget, trap: TrapModel,
@@ -573,26 +613,33 @@ def mu_open_trap(beta: float, nu: float, d: int,
                  consts: PhysicalConstants = PhysicalConstants(),
                  ctl: SeriesControl = DEFAULT_CONTROL) -> float:
     """Subcritical open-trap chemical potential mu0 < 0 solving
-    g_d(e^{beta mu}) = nu (hbar omega0 beta)^d: log(1 - e^{-rhs}) / beta
-    for d = 1, else Brent's method on log g_d(e^x) - log rhs over
-    x = beta mu in [-745, 0], to rounding."""
+    g_d(e^{beta mu}) = nu (hbar omega0 beta)^d = rhs: log(1 - e^{-rhs}) / beta
+    for d = 1, else safeguarded Newton steps (`_newton_root`) on
+    log rhs - log g_d(e^x) over x = beta mu in [-745, 0], to rounding, with
+    slope -g_{d-1}(e^x) / g_d(e^x) (`polylog` gives g_1(z) = -log(1 - z) in
+    closed form).
+    As e^x <= g_d(e^x) <= zeta(d) e^x, the root lies at or above
+    log(rhs / zeta(d)), where the steps start."""
     if d not in (1, 2, 3):
         raise DomainError("d must be 1, 2 or 3")
     rhs = nu * (consts.hbar * consts.omega0 * beta) ** d
     if d == 1:
         return _log1mexp_float(rhs) / beta
-    if rhs >= polylog(float(d), 1.0):
+    zeta = polylog(float(d), 1.0)
+    if rhs >= zeta:
         raise RegimeError("nu at or above nu_c: no subcritical open-trap mu")
-    # log g_d(e^x) is nearly linear in x where g_d(e^x) ~ e^x
     log_rhs = math.log(rhs)
 
-    def f(x: float) -> float:
-        return math.log(polylog(float(d), math.exp(x), ctl)) - log_rhs
+    def f(x: float) -> tuple[float, float]:
+        z = math.exp(x)
+        g = polylog(float(d), z, ctl)
+        g_lower = polylog(d - 1.0, z, ctl) if z < 1.0 else math.inf
+        return log_rhs - math.log(g), -g_lower / g
 
-    from scipy import optimize
-    x = optimize.brentq(f, -745.0, 0.0, xtol=1e-300, rtol=8.9e-16,
-                        maxiter=200)
-    return x / beta
+    x = max(-745.0, log_rhs - math.log(zeta))
+    return _newton_root(f, x, -745.0, 0.0, 1e-300,
+                        f"g_{d} = {rhs} not bracketed by beta mu in "
+                        "[-745, 0]") / beta
 
 
 def critical_side(nu: float, critical: float) -> int:

@@ -197,6 +197,22 @@ class TestExitCodes:
                      str(tmp_path / "no" / "such" / "dir" / "out.csv")])
         assert code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["no-such-command", "--config", "cfg.json"], ["thermo"]],
+        ids=["unknown-command", "missing-config"])
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: boseloops" in capsys.readouterr().err
+
+    def test_help_lists_the_six_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{thermo,mu-solve,rdm,profile,loops,aniso-check}" \
+            in capsys.readouterr().out
+
 
 class TestThermoCommand:
     def test_columns_and_ladder(self, tmp_path):

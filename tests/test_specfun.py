@@ -94,21 +94,31 @@ class TestPolylog:
                                                            abs=0.0)
 
     def test_tail_quadrature_error_is_reported(self, monkeypatch):
-        # the Euler-Maclaurin tail warns with its quadrature error estimate
-        # when that exceeds rel_tol of the sum
+        # the Euler-Maclaurin tail warns, when it exceeds rel_tol of the
+        # sum, with its error estimate: the quadrature's (patched here to
+        # the size of the remainder) plus the endpoint remainder
+        # (11/720)|third difference of the summand over l1 - 2 ... l1 + 1|,
+        # computed here in mpmath; the tail starts at l1 = 10^4 + 1
         xi = math.exp(-1e-6)
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             ref = polylog(1.5, xi)
+        l1 = specfun._DIRECT_CAP + 1
+        with mpmath.workdps(40):
+            f = [mpmath.mpf(xi) ** l / mpmath.mpf(l) ** 1.5
+                 for l in range(l1 - 2, l1 + 2)]
+            rem = float(11 * abs(f[3] - 3 * f[2] + 3 * f[1] - f[0]) / 720)
+        quad_err = 2.0 * rem
         real = integrate.quad
 
         def sloppy(*args, **kwargs):
             val, _err = real(*args, **kwargs)
-            return val, 1e-3 * ref
+            return val, quad_err
         monkeypatch.setattr(integrate, "quad", sloppy)
         with pytest.warns(TruncationWarning) as record:
-            assert polylog(1.5, xi) == ref
-        assert record[0].message.args == (1e-3 * ref,)
+            assert polylog(1.5, xi, SeriesControl(rel_tol=1e-30)) == ref
+        err, = record[0].message.args
+        assert err == pytest.approx(quad_err + rem, rel=1e-3, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

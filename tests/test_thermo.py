@@ -113,7 +113,7 @@ class TestLoopNumber:
         monkeypatch.setattr(specfun, "_DIRECT_CAP", 2 * 10**6)
         for trap, tail in zip(traps, em):
             ref = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-            assert not ref.slow.any() and tail.slow.any()
+            assert not ref.slow and tail.slow
             assert ref.big_l > 10 * tail.big_l
             log_scale = trap.dim * math.log(trap.kappa_abs)
             for gap in (1e-2, 1e-6, 1e-12, 1e-15, 1e-20, 1e-100):
@@ -202,7 +202,7 @@ class TestLoopNumber:
             calls.append(args)
             return real(*args, **kwargs)
         monkeypatch.setattr(scipy.integrate, "quad", counted)
-        assert thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow.any()
+        assert thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL).slow
         solve_gap(target, trap)
         assert calls == []
 
@@ -247,7 +247,7 @@ class TestLoopProduct:
         # time; the degenerate soft pair shares one evaluation
         trap = Quasi2D(0.1, 1.0)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-        assert not prod.slow.any() and prod.big_l == 5_863
+        assert not prod.slow and prod.big_l == 5_863
         assert prod.a[0] * prod.big_l < NORMAL_EXP
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 2.0), trap)
@@ -260,7 +260,7 @@ class TestLoopProduct:
         # evaluates a loop factor
         trap = Quasi1D(0.5, 1.2)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-        assert prod.slow.any() and prod.big_l == 1_636
+        assert prod.slow and prod.big_l == 1_636
         assert prod.big_l == specfun._direct_length(prod.a[0],
                                                     DEFAULT_CONTROL.rel_tol)
         stiff = prod.a[1]
@@ -354,7 +354,7 @@ class TestLoopProduct:
         loose = SeriesControl(rel_tol=1e-4)
         prod = thermo._LoopProduct(1.0, trap, loose)
         l = prod._tail_l
-        assert prod.slow.any() and prod.big_l < 189
+        assert prod.slow and prod.big_l < 189
         assert not np.all(np.diff(l) > 0.0)
         u = np.outer(prod.a, l)
         ref = -np.sum(np.where(u < NORMAL_EXP,
@@ -550,7 +550,7 @@ class TestTailOracle:
         # adaptive quad) over the scalar P - 1 summand, for nu and Omega,
         # at 1e-6 ... 1e6 times the solved gap
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-        assert prod.slow.any()
+        assert prod.slow
         rates = [a for a in prod.a.tolist()
                  if a * (prod.big_l + 1.0) < NORMAL_EXP]
         gap = solve_gap(CanonicalTarget(1.0, nu), trap)
@@ -575,26 +575,89 @@ class TestTailOracle:
                 ref = specfun._em_sum(f, prod.big_l + 1.0, l_max,
                                       prod.a.tolist() + [w0],
                                       DEFAULT_CONTROL.rel_tol, whole)
-                tail = prod._tail(w0, log_scale, per_loop, whole)
+                tail = prod._tail(w0, log_scale, per_loop, whole)[0]
                 assert tail == pytest.approx(ref, rel=0.0,
                                              abs=1e-13 * abs(whole))
+
+
+def _count_nu_evaluations(monkeypatch):
+    """Count the calls of `_LoopProduct.sum_and_slope`, the evaluation of
+    nu (and its slope) that `solve_gap` makes per trial gap."""
+    calls = []
+    real = thermo._LoopProduct.sum_and_slope
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+    monkeypatch.setattr(thermo._LoopProduct, "sum_and_slope", counted)
+    return calls
+
+
+# the critical band, where no closed-form guess applies, and the nu
+# evaluations that Brent's method on log nu over the whole gap window takes
+# on each
+_CRITICAL_CASES = [
+    (trap, factor, brent)
+    for trap, brents in ((Isotropic(3, 0.01), (14, 14)),
+                         (Isotropic(3, 1e-4), (20, 24)),
+                         (Quasi2D(0.02, 1.0), (20, 20)),
+                         (Quasi1D(0.3, 1.0), (17, 17)))
+    for factor, brent in zip((1.0, 1.0 + 5e-7), brents)]
 
 
 class TestGapSolver:
     @pytest.mark.parametrize("trap,nu", _BENCH_LADDER, ids=_case_id)
     def test_few_nu_evaluations(self, trap, nu, monkeypatch):
         # from the closed-form guess, every bench-ladder solve needs at most
-        # 10 evaluations of nu, bracket included (a whole-window Brent
-        # solve on nu needs 22-27)
-        calls = []
-        real = thermo._LoopProduct.sum
-
-        def counted(self, *args):
-            calls.append(args)
-            return real(self, *args)
-        monkeypatch.setattr(thermo._LoopProduct, "sum", counted)
+        # 5 evaluations of nu and its slope (Brent's method on log nu from a
+        # bracket grown around the guess takes 5-8); at least one shows that
+        # the count sees the solve's evaluations
+        calls = _count_nu_evaluations(monkeypatch)
         solve_gap(CanonicalTarget(1.0, nu), trap)
-        assert len(calls) <= 10
+        assert 1 <= len(calls) <= 5
+
+    @pytest.mark.parametrize(
+        "trap,factor,brent", _CRITICAL_CASES,
+        ids=[f"{_case_id(trap)}-nu_c*{factor:.7g}"
+             for trap, factor, _ in _CRITICAL_CASES])
+    def test_critical_band_evaluations(self, trap, factor, brent,
+                                       monkeypatch):
+        # from the window's upper edge, no more evaluations than Brent's
+        # method over the whole window
+        nu = factor * _nu_critical_trap(1.0, trap)
+        calls = _count_nu_evaluations(monkeypatch)
+        gap = solve_gap(CanonicalTarget(1.0, nu), trap)
+        assert 1 <= len(calls) <= brent
+        assert nu_rescaled(_eq(trap, gap)) == pytest.approx(nu, rel=1e-12)
+
+    @pytest.mark.parametrize("trap,slow", [(Quasi1D(0.3, 1.0), True),
+                                           (Quasi2D(0.1, 1.0), False)],
+                             ids=["slow-axis", "relaxed"])
+    @pytest.mark.parametrize("w0", [1e-1, 1e-4, 1e-8])
+    def test_slope_matches_central_difference(self, trap, slow, w0):
+        # w0 S / w0 = S = -d sum / d w0, from the exponentials of the sum
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        assert prod.slow == slow
+        log_scale = 3.0 * math.log(trap.kappa_abs)
+        slope = prod.sum_and_slope(w0, log_scale)[1]
+        h = 1e-5 * w0
+        diff = (prod.sum(w0 - h, log_scale) - prod.sum(w0 + h, log_scale)) \
+            / (2.0 * h)
+        assert slope / w0 == pytest.approx(diff, rel=1e-7, abs=0.0)
+
+    def test_no_scipy_optimize(self):
+        # one root finder in the package: `_newton_root`
+        package = Path(thermo.__file__).parent
+        imports = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    imports += [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imports += [node.module] + [f"{node.module}.{a.name}"
+                                                for a in node.names]
+        assert imports and not [m for m in imports
+                                if m.startswith("scipy.optimize")]
 
     @pytest.mark.parametrize("trap,nu", _solver_cases(), ids=_case_id)
     def test_matches_window_solve(self, trap, nu):
@@ -699,7 +762,8 @@ class TestOpenTrapLaws:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_mu_open_trap_vs_mpmath(self, d):
-        # Brent on log g_d(e^x) resolves mu0 to rounding up to 0.98 nu_c
+        # the root finder on log g_d(e^x) resolves mu0 to rounding up to
+        # 0.98 nu_c
         import mpmath
 
         nu_c = nu_critical(1.0, d)
