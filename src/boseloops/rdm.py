@@ -466,7 +466,15 @@ def scaled_density_profile(delta: float, target: CanonicalTarget, d: int,
                            rescaled: bool = False):
     """`scaled_density_limit` as a function of the point x alone, for a
     whole profile: the regime and, below nu_c, the open-trap mu0 are found
-    once, not once per point."""
+    once, not once per point.
+
+    Unrescaled, the limit is the semiclassical density
+    lambda^-d g_{d/2}(e^{beta(mu0 - V)}), with mu0 = 0 above nu_c and
+    V(x) = m omega0^2 |x|^2 / 2 at delta = 1, V = 0 at delta < 1; except
+    above nu_c at delta < 1, where it is None for d = 2 and +inf for d = 3
+    at delta <= 1/2.  Rescaled, it is the condensate density above nu_c at
+    delta < 1/2, times e^{-m omega0 |x|^2 / hbar} at delta = 1/2, and 0
+    otherwise."""
     if not 0.0 <= delta <= 1.0:
         raise DomainError("delta must lie in [0, 1]")
     beta, nu = target.beta, target.nu
@@ -475,50 +483,29 @@ def scaled_density_profile(delta: float, target: CanonicalTarget, d: int,
     if side == 0:
         raise RegimeError("nu inside the critical band")
     mu0 = mu_open_trap(beta, nu, d, consts, ctl=ctl) \
-        if side < 0 and not rescaled else None
+        if side < 0 and not rescaled else 0.0
 
     def limit(x) -> float | None:
         xv = np.atleast_1d(np.asarray(x, dtype=float))
-        v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
-        if side < 0:
-            if rescaled:
-                return 0.0
-            z = math.exp(beta * (mu0 - (v_x if delta == 1.0 else 0.0)))
-            return polylog(d / 2.0, z, ctl) / lam**d
-
-        # supercritical
+        r2 = float(np.sum(xv**2))
         if rescaled:
+            if side < 0 or delta > 0.5:
+                return 0.0
             amp = condensate_density(beta, nu, d, consts)
             if delta < 0.5:
                 return amp
-            if delta == 0.5:
-                return amp * math.exp(-consts.mass * consts.omega0
-                                      * float(np.sum(xv**2)) / consts.hbar)
-            return 0.0
-        if d == 2 and delta < 1.0:
-            return None
-        if delta == 1.0:
-            return polylog(d / 2.0, math.exp(-beta * v_x), ctl) / lam**d
-        if d == 3 and delta > 0.5:
-            return polylog(1.5, 1.0) / lam**3
-        return math.inf
+            return amp * math.exp(-consts.mass * consts.omega0 * r2
+                                  / consts.hbar)
+        if side > 0 and delta < 1.0:
+            if d == 2:
+                return None
+            if delta <= 0.5:
+                return math.inf
+        v_x = 0.5 * consts.mass * consts.omega0**2 * r2 if delta == 1.0 \
+            else 0.0
+        return polylog(d / 2.0, math.exp(beta * (mu0 - v_x)), ctl) / lam**d
 
     return limit
-
-
-def semiclassical_density(x, beta: float, mu: float, d: int,
-                          consts: PhysicalConstants = DEFAULT_CONSTANTS,
-                          ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """Semiclassical local density lambda^-d g_{d/2}(e^{beta(mu - V(x))})
-    with V(x) = m omega0^2 |x|^2 / 2."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if xv.shape != (d,):
-        raise DomainError(f"point must have dimension {d}")
-    v_x = 0.5 * consts.mass * consts.omega0**2 * float(np.sum(xv**2))
-    if mu - v_x >= 0.0:
-        raise DomainError("semiclassical density requires mu - V(x) < 0")
-    lam = de_broglie(beta, consts)
-    return polylog(d / 2.0, math.exp(beta * (mu - v_x)), ctl) / lam**d
 
 
 @dataclass(frozen=True)

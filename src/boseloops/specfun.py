@@ -1,4 +1,4 @@
-"""Special functions: polylogarithm, incomplete gamma, thermal wavelength,
+"""Special functions: polylogarithm, thermal wavelength, a table of
 normalized Hermite eigenfunctions, and the loop-series engine `_series`.
 
 All routines are pure and operate in 64-bit floating point.  Infinite sums
@@ -36,8 +36,6 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, TruncationWarning
-
-_EULER_GAMMA = 0.5772156649015328606
 
 # longest direct stretch of every loop-length sum and of every g-BEC band
 # row.  A sum that fits in it is summed directly: a tail (`_em_sum`'s
@@ -247,48 +245,6 @@ def polylog(theta: float, xi: float, ctl: SeriesControl = DEFAULT_CONTROL) -> fl
         alpha, ctl)
 
 
-def gamma0(x: float) -> float:
-    """Incomplete gamma Gamma_0(x) = int_x^inf e^-t / t dt for x > 0.
-
-    Small arguments use the alternating series
-    -gamma - ln x - sum_k (-x)^k / (k k!); large arguments use the standard
-    continued fraction e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...)))
-    evaluated by the modified Lentz algorithm.
-    """
-    if x <= 0:
-        raise DomainError("gamma0 requires x > 0")
-    if x < 1.0:
-        total = -_EULER_GAMMA - math.log(x)
-        term = 1.0
-        for k in range(1, 60):
-            term *= -x / k
-            total -= term / k
-            if abs(term) < 1e-18 * max(1.0, abs(total)):
-                break
-        return total
-    # modified Lentz for the continued fraction of E1(x)
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -i * i
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return math.exp(-x) * h
-
-
 def de_broglie(beta: float, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Thermal de Broglie wavelength sqrt(2 pi hbar^2 beta / m)."""
     if beta <= 0:
@@ -296,26 +252,16 @@ def de_broglie(beta: float, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> fl
     return math.sqrt(2.0 * math.pi * consts.hbar**2 * beta / consts.mass)
 
 
-def hermite_eigenfunction(s: int, x: float, kappa: float,
-                          consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Normalized harmonic-oscillator eigenfunction psi_s(x) for the trap
-    with angular frequency omega0*kappa.
-
-    Uses the stable three-term recurrence on the normalized Hermite functions
-    with a per-step rescaling guard (values stay finite for s up to 1e4 even
-    deep in the classically forbidden region).
-    """
-    if s < 0 or int(s) != s:
-        raise DomainError("quantum number s must be a nonnegative integer")
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
-    return float(hermite_eigen_table(int(s), x, kappa, consts)[-1])
-
-
 def hermite_eigen_table(s_max: int, x: float, kappa: float,
                         consts: PhysicalConstants = DEFAULT_CONSTANTS) -> np.ndarray:
-    """Array of psi_s(x) for s = 0..s_max (inclusive), same units as
-    `hermite_eigenfunction`; one recurrence pass instead of s_max passes."""
+    """Array of the normalized harmonic-oscillator eigenfunctions psi_s(x),
+    s = 0..s_max (inclusive), for the trap with angular frequency
+    omega0*kappa.
+
+    One pass of the stable three-term recurrence on the normalized Hermite
+    functions, with a per-step rescaling guard (values stay finite for s up
+    to 1e4 even deep in the classically forbidden region).
+    """
     if s_max < 0:
         raise DomainError("s_max must be nonnegative")
     if kappa <= 0:

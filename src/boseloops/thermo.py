@@ -94,8 +94,16 @@ def _log1mexp_float(v: float) -> float:
 
 
 def bose(v):
-    """Bose factor 1/(e^v - 1) for v > 0."""
-    return 1.0 / np.expm1(np.asarray(v, dtype=float))
+    """Bose factor 1/(e^v - 1) for v > 0: e^{-v}, its value to rounding,
+    where e^v - 1 overflows (v beyond about 709.78)."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore"):
+        out = 1.0 / np.expm1(v)
+    # 1/(e^v - 1) is 0 only where e^v - 1 overflowed
+    over = out == 0.0
+    if over.any():
+        out = np.where(over, np.exp(-v), out)
+    return out
 
 
 def _degeneracy(n, k: int):
@@ -218,9 +226,7 @@ class _LoopProduct:
     float at L + 1, and per series the two weight rows times (1 - 1/P_l),
     with the endpoint coefficients in both rows and the nodes' Jacobian l
     (nu) or the endpoints' 1/l (Omega) as factors, not in the exponent,
-    where they would add the rounding of a larger sum.  L + 2 lies below
-    the first node from L = 189 on; a shorter L (a loose rel_tol) takes
-    log P over the lengths sorted.  The build also
+    where they would add the rounding of a larger sum.  The build also
     keeps log P and the factors 1 - 1/P_l, and (1 - 1/P_l)/l, at
     l = L - 1 ... L + 2, from which `_tail` reads the endpoint remainder.
     """
@@ -245,12 +251,14 @@ class _LoopProduct:
         v = (self._v1 + np.arange(self._panels, dtype=float)[:, None]
              + _PANEL_NODES).ravel()
         ends = np.array([big_l, big_l + 1.0, big_l + 2.0])
-        self._tail_l = np.concatenate([ends, np.exp(v)])
-        order = np.argsort(self._tail_l, kind="stable")
-        self._tail_log_p = np.empty_like(self._tail_l)
-        self._tail_log_p[order] = _log_product(
-            [a_j for a_j in rates if a_j * (big_l + 1.0) < _NORMAL_EXP],
-            self._tail_l[order])
+        nodes = np.exp(v)
+        self._tail_l = np.concatenate([ends, nodes])
+        # `_log_product` takes ascending lengths: the endpoint lengths and
+        # the nodes each are, but under a short stretch the first nodes lie
+        # below L + 2
+        fast = [a_j for a_j in rates if a_j * (big_l + 1.0) < _NORMAL_EXP]
+        self._tail_log_p = np.concatenate([_log_product(fast, ends),
+                                           _log_product(fast, nodes)])
         end_l = big_l + np.arange(-1.0, 3.0)
         end_log_p = np.concatenate([self.log_p[-2:-1], self._tail_log_p[:3]])
         end_fac = -np.expm1(-end_log_p)
@@ -519,14 +527,6 @@ def solve_gap(target: CanonicalTarget, trap: TrapModel,
         f"[{math.exp(lo_edge)}, {math.exp(hi_edge)}]"))
 
 
-def solve_mu(target: CanonicalTarget, trap: TrapModel,
-             ctl: SeriesControl = DEFAULT_CONTROL) -> float:
-    """mu = E0 - solve_gap.  Note this difference rounds to E0 once the gap
-    falls below E0's floating-point resolution; gap-sensitive work should use
-    solve_gap directly."""
-    return ground_energy(trap) - solve_gap(target, trap, ctl)
-
-
 @dataclass(frozen=True)
 class Equilibrium:
     """A trap at inverse temperature beta with its gap Delta = E0 - mu > 0.
@@ -617,7 +617,9 @@ def mu_open_trap(beta: float, nu: float, d: int,
     for d = 1, else safeguarded Newton steps (`_newton_root`) on
     log rhs - log g_d(e^x) over x = beta mu in [-745, 0], to rounding, with
     slope -g_{d-1}(e^x) / g_d(e^x) (`polylog` gives g_1(z) = -log(1 - z) in
-    closed form).
+    closed form).  A residual of at most 4 eps (1 + |log rhs|), the
+    rounding of log g_d, counts as 0, so near nu_c the steps end at the
+    root rather than bisect through that noise.
     As e^x <= g_d(e^x) <= zeta(d) e^x, the root lies at or above
     log(rhs / zeta(d)), where the steps start."""
     if d not in (1, 2, 3):
@@ -629,12 +631,17 @@ def mu_open_trap(beta: float, nu: float, d: int,
     if rhs >= zeta:
         raise RegimeError("nu at or above nu_c: no subcritical open-trap mu")
     log_rhs = math.log(rhs)
+    noise = 4.0 * sys.float_info.epsilon * (1.0 + abs(log_rhs))
 
     def f(x: float) -> tuple[float, float]:
         z = math.exp(x)
         g = polylog(float(d), z, ctl)
+        residual = log_rhs - math.log(g)
+        if abs(residual) <= noise:
+            # a root: `_newton_root` returns without reading the slope
+            return 0.0, math.nan
         g_lower = polylog(d - 1.0, z, ctl) if z < 1.0 else math.inf
-        return log_rhs - math.log(g), -g_lower / g
+        return residual, -g_lower / g
 
     x = max(-745.0, log_rhs - math.log(zeta))
     return _newton_root(f, x, -745.0, 0.0, 1e-300,

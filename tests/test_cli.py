@@ -356,6 +356,65 @@ class TestOtherCommands:
         assert code == 2
 
 
+_NATURAL_META = "# software_version = 0.1.0\n# units = natural\n"
+
+# (command, config, the whole CSV the CLI writes to stdout) for output
+# branches that the other tests do not reach
+_BRANCH_OUTPUTS = {
+    "q1d-subcritical-row": (
+        "aniso-check",
+        {"model": "quasi1d", "kappa": 0.4, "kappa_c": 1.0, "nu": 0.5},
+        "# beta = 1\n# model = quasi1d\n# nu = 0.5\n" + _NATURAL_META
+        + "kappa,regime,eta,log_meso,exponent_prediction,"
+          "log_prefactor_prediction\n"
+          "0.40000000000000002,subcritical,0.41595368629035367,n/a,n/a,n/a\n"),
+    "profile-no-limit-claimed": (
+        "profile", {"d": 2, "kappa": 0.05, "nu": 3.0, "delta": 0.5,
+                    "grid": [0.4]},
+        "# beta = 1\n# delta = 0.5\n# kappa = 0.050000000000000003\n"
+        "# model = isotropic\n# nu = 3\n# rescaled = 0\n" + _NATURAL_META
+        + "x,value,prediction,rel_deviation\n"
+          "0.40000000000000002,7.0885495159298175,no-limit-claimed,n/a\n"),
+    "profile-d3-zeta-plateau": (
+        "profile", {"kappa": 0.05, "nu": 2.4041138063191885, "delta": 0.7,
+                    "grid": [0.4]},
+        "# beta = 1\n# delta = 0.69999999999999996\n"
+        "# kappa = 0.050000000000000003\n# model = isotropic\n"
+        "# nu = 2.4041138063191885\n# rescaled = 0\n" + _NATURAL_META
+        + "x,value,prediction,rel_deviation\n"
+          "0.40000000000000002,10.291839160141505,0.16586920931302221,"
+          "61.047918373560989\n"),
+    "profile-rescaled-subcritical": (
+        "profile", {"kappa": 0.05, "nu": 0.5, "delta": 0.5, "rescaled": True,
+                    "grid": [0.4]},
+        "# beta = 1\n# delta = 0.5\n# kappa = 0.050000000000000003\n"
+        "# model = isotropic\n# nu = 0.5\n# rescaled = 1\n" + _NATURAL_META
+        + "x,value,prediction,rel_deviation\n"
+          "0.40000000000000002,0.00040516649457685754,0,"
+          "0.00040516649457685754\n"),
+    "loops-subcritical-condensate": (
+        "loops", {"kappa": 0.3, "nu": 0.5},
+        "# beta = 1\n# model = isotropic\n# nu = 0.5\n" + _NATURAL_META
+        + "kappa,short_cutoff,macro_cutoff,short_sum,meso_sum,macro_sum,"
+          "total,macro_rescaled,condensate_prediction\n"
+          "0.29999999999999999,4,4,0.03539711953145297,0,"
+          "0.00011374960152069409,0.03551086913297366,"
+          "1.8690966798032428e-05,0\n"),
+}
+
+
+class TestBranchOutputs:
+    @pytest.mark.parametrize("case", sorted(_BRANCH_OUTPUTS))
+    def test_stdout_matches_reference(self, tmp_path, capsys, case):
+        # without --output the table goes to stdout, byte for byte
+        command, doc, expected = _BRANCH_OUTPUTS[case]
+        cfg = _write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
+
+
 class TestDeterminism:
     def test_byte_identical_repeat(self, tmp_path):
         _, out1 = _run(tmp_path, "thermo", THERMO_DOC, name="r1")

@@ -15,7 +15,7 @@ from boseloops.rdm import (BarometricRadii, LoopDecomposition, barometric_radii,
                            divergence_law, local_density_scaled,
                            loop_decompose, noncondensate, open_trap_rdm,
                            rdm_eigen, rdm_loops, rdm_rescaled,
-                           scaled_density_limit, semiclassical_density)
+                           scaled_density_limit)
 from boseloops.specfun import (PhysicalConstants, SeriesControl, de_broglie,
                                polylog)
 from boseloops.thermo import CanonicalTarget, Equilibrium, bose, nu_critical
@@ -550,14 +550,6 @@ class TestScaledProfiles:
         x = np.array([0.5, 0.0, 0.0])
         with pytest.raises(RegimeError):
             scaled_density_limit(x, 1.0, _target(ZETA_3 * (1 + 1e-9)), 3)
-
-    def test_semiclassical_density_domain(self):
-        with pytest.raises(DomainError):
-            semiclassical_density(np.zeros(3), 1.0, 0.1, 3)
-        val = semiclassical_density(np.array([1.0, 0.0, 0.0]), 1.0, -0.2, 3)
-        lam = de_broglie(1.0)
-        assert val == pytest.approx(
-            polylog(1.5, math.exp(-0.7)) / lam**3, rel=1e-12)
 
 
 class TestBarometricRadii:

@@ -12,8 +12,7 @@ from boseloops import specfun
 from boseloops.errors import DomainError, TruncationWarning
 from boseloops.specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL,
                                PhysicalConstants, SeriesControl, de_broglie,
-                               gamma0, hermite_eigen_table,
-                               hermite_eigenfunction, polylog)
+                               hermite_eigen_table, polylog)
 
 # frozen reference constants (Riemann zeta values, independently tabulated)
 ZETA_3_2 = 2.6123753486854883433
@@ -134,23 +133,6 @@ class TestPolylog:
         assert polylog(2.0, 0.0) == 0.0
 
 
-class TestGamma0:
-    def test_vs_scipy_exp1(self):
-        for x in (0.01, 0.3, 0.999, 1.0, 1.001, 5.0, 30.0, 200.0):
-            assert gamma0(x) == pytest.approx(float(special.exp1(x)),
-                                              rel=1e-13)
-
-    def test_branch_continuity(self):
-        assert gamma0(1.0 - 1e-12) == pytest.approx(gamma0(1.0 + 1e-12),
-                                                    rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma0(0.0)
-        with pytest.raises(DomainError):
-            gamma0(-1.0)
-
-
 class TestDeBroglie:
     def test_natural_units(self):
         assert de_broglie(1.0) == pytest.approx(math.sqrt(2.0 * math.pi),
@@ -173,24 +155,19 @@ class TestHermite:
         for x in (-1.3, 0.0, 0.4, 2.0):
             psi0 = (c / math.pi) ** 0.25 * math.exp(-0.5 * c * x * x)
             psi1 = math.sqrt(2.0 * c) * x * psi0
-            assert hermite_eigenfunction(0, x, c) == pytest.approx(
+            assert hermite_eigen_table(0, x, c)[0] == pytest.approx(
                 psi0, rel=1e-13, abs=1e-300)
-            assert hermite_eigenfunction(1, x, c) == pytest.approx(
+            assert hermite_eigen_table(1, x, c)[1] == pytest.approx(
                 psi1, rel=1e-13, abs=1e-300)
 
     def test_orthonormality(self):
         kappa = 0.5
         for s, t in ((0, 0), (3, 3), (7, 7), (2, 5), (0, 8)):
             val, _ = integrate.quad(
-                lambda x: hermite_eigenfunction(s, x, kappa)
-                * hermite_eigenfunction(t, x, kappa), -np.inf, np.inf,
+                lambda x: hermite_eigen_table(s, x, kappa)[s]
+                * hermite_eigen_table(t, x, kappa)[t], -np.inf, np.inf,
                 limit=200)
             assert val == pytest.approx(1.0 if s == t else 0.0, abs=1e-10)
-
-    def test_table_matches_single(self):
-        tab = hermite_eigen_table(40, 1.7, 0.9)
-        for s in (0, 1, 17, 40):
-            assert tab[s] == hermite_eigenfunction(s, 1.7, 0.9)
 
     def test_deep_tunneling_finite(self):
         # far in the forbidden region the values underflow to 0, never nan
@@ -199,9 +176,9 @@ class TestHermite:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            hermite_eigenfunction(-1, 0.0, 1.0)
+            hermite_eigen_table(-1, 0.0, 1.0)
         with pytest.raises(DomainError):
-            hermite_eigenfunction(2, 0.0, 0.0)
+            hermite_eigen_table(2, 0.0, 0.0)
 
 
 class TestConfigObjects:

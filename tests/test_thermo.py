@@ -22,7 +22,7 @@ from boseloops.thermo import (CanonicalTarget, Equilibrium, _band_series,
                               gbec_band_sum, grand_potential, log1mexp,
                               mu_open_trap, nu_critical, nu_eigen_sum, nu_m,
                               nu_open_trap, nu_rescaled, occupation,
-                              solve_gap, solve_mu)
+                              solve_gap)
 
 ZETA_3 = 1.2020569031595942854
 ZETA_2 = 1.6449340668482264365
@@ -76,6 +76,13 @@ class TestHelpers:
 
     def test_bose(self):
         assert float(bose(math.log(2.0))) == pytest.approx(1.0, rel=1e-14)
+        # e^v - 1 overflows beyond v = 709.78; there the factor is e^{-v}
+        # (subnormal, then 0), with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bose([700.0, 720.0, 800.0])
+        assert got.tolist() == [1.0 / float(np.expm1(700.0)),
+                                float(np.exp(-720.0)), 0.0]
 
 
 class TestLoopNumber:
@@ -256,7 +263,8 @@ class TestLoopProduct:
     def test_product_built_once_with_slow_axis(self, monkeypatch):
         # the stiff pair shares one evaluation, which ends where its term
         # leaves the normal floats, before the end of the direct stretch;
-        # the tail's grid takes the slow axis only, once, and no trial gap
+        # the tail's grid takes the slow axis only, once on its three
+        # endpoint lengths and once on its nodes, and no trial gap
         # evaluates a loop factor
         trap = Quasi1D(0.5, 1.2)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
@@ -273,7 +281,7 @@ class TestLoopProduct:
         assert 0 < n_grid <= prod._tail_l.size
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 4.0), trap)
-        assert sizes == [1_636, n_stiff, n_grid]
+        assert sizes == [1_636, n_stiff, 3, n_grid - 3]
 
     @pytest.mark.parametrize("kappa", [0.4, 0.35, 0.3, 0.25])
     def test_product_build_takes_no_subnormal_term(self, kappa, monkeypatch):
@@ -287,19 +295,20 @@ class TestLoopProduct:
             return real(v)
         monkeypatch.setattr(thermo, "log1mexp", recorded)
         # (the slow and the stiff rate on the direct stretch and on the
-        # tail's grid: the stiff term is still a normal float at L + 1)
+        # tail's endpoint lengths and nodes: the stiff term is still a
+        # normal float at L + 1)
         prod = thermo._LoopProduct(1.0, Quasi1D(kappa, 1.0), DEFAULT_CONTROL)
         assert prod.a[1] * (prod.big_l + 1) < NORMAL_EXP
-        assert len(seen) == 4 and max(seen) < NORMAL_EXP
+        assert len(seen) == 6 and max(seen) < NORMAL_EXP
 
     def test_isotropic_product_is_one_evaluation(self, monkeypatch):
-        # one evaluation of the shared rate on the direct stretch and one on
-        # the tail's grid
+        # one evaluation of the shared rate on the direct stretch, and one
+        # each on the tail's three endpoint lengths and on its nodes
         sizes = self._log1mexp_sizes(monkeypatch)
         prod = thermo._LoopProduct(1.0, Isotropic(3, 1e-5), DEFAULT_CONTROL)
         n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
         assert prod.big_l == 1_636
-        assert sizes == [1_636, n_grid]
+        assert sizes == [1_636, 3, n_grid - 3]
 
     def test_panel_rule_is_gauss_legendre(self):
         # on [0, 1] the 16-point row integrates t^k exactly for k < 32 and
@@ -452,7 +461,6 @@ class TestSolvers:
         target = CanonicalTarget(1.0, 2.0 * _nu_critical_trap(1.0, trap))
         gap = solve_gap(target, trap)
         assert 0.0 < gap < 1e-17
-        assert solve_mu(target, trap) == ground_energy(trap)  # documented loss
 
     def test_monotone_in_nu(self):
         trap = Isotropic(3, 0.2)
@@ -776,6 +784,32 @@ class TestOpenTrapLaws:
                     (mu0 * 1.001, mu0 * 0.999), solver="secant")
                 assert mu0 == pytest.approx(float(ref), rel=5e-14, abs=0.0)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("frac,rel", [(0.999, 5e-13), (1.0 - 1e-6, 3e-10)])
+    def test_mu_open_trap_near_nu_c(self, d, frac, rel, monkeypatch):
+        # near nu_c the steps end once the residual is below the rounding
+        # of log g_d, instead of bisecting through that noise (a stop rule
+        # on the step alone takes 27 to 47 polylog calls here); mu0 is as
+        # accurate as the conditioning of g_d near z = 1 allows
+        import mpmath
+
+        calls = []
+        real = thermo.polylog
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "polylog", counting)
+        nu = frac * nu_critical(1.0, d)
+        mu0 = mu_open_trap(1.0, nu, d)
+        assert len(calls) <= 15
+        with mpmath.workdps(40):
+            ref = mpmath.findroot(
+                lambda x: mpmath.polylog(d, mpmath.exp(x)) - nu,
+                (mu0 * 1.001, mu0 * 0.999), solver="secant")
+        assert mu0 == pytest.approx(float(ref), rel=rel, abs=0.0)
+
     def test_mu_open_trap_d1_large_nu(self):
         # mu0 = log(1 - e^{-50}) = -e^{-50}(1 + e^{-50}/2 + ...), not 0
         assert mu_open_trap(1.0, 50.0, 1) == pytest.approx(
@@ -905,6 +939,17 @@ class TestOccupationAndBand:
         occ = occupation(eq, (0, 0, 0))
         assert occ == pytest.approx(trap.kappa**3 * float(bose(eq.gap)),
                                     rel=1e-10)
+
+    def test_ground_occupation_past_expm1_overflow(self):
+        # beta Delta = 720.15 (mu = -720): kappa^3 e^{-beta Delta} is
+        # subnormal, so it carries only about 7 significant digits
+        trap = Isotropic(3, 0.1)
+        eq = Equilibrium(1.0, trap, DEFAULT_CONTROL, 720.15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            occ = occupation(eq, (0, 0, 0))
+        assert occ == pytest.approx(trap.kappa**3 * math.exp(-720.15),
+                                    rel=1e-6, abs=0.0)
 
     def test_excited_below_ground(self):
         trap = Isotropic(3, 0.2)
