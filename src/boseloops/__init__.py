@@ -16,7 +16,7 @@ from .thermo import (CanonicalTarget, Equilibrium, gbec_band_sum,
 from .rdm import (BarometricRadii, LoopDecomposition, barometric_radii,
                   local_density_scaled, loop_decompose, noncondensate,
                   open_trap_rdm, rdm_eigen, rdm_loops, rdm_rescaled,
-                  scaled_density_limit)
+                  scaled_density_profile)
 from .aniso import (AnisotropicRegime, ChiSplit, MesoPrediction,
                     additional_q2d, classify, meso_q1d, meso_q1d_prediction,
                     q2d_additional_limit, q2d_chi_split)

@@ -2,14 +2,15 @@
 
 Commands: thermo, mu-solve, rdm, profile, loops, aniso-check, the one
 positional argument of a single parser; every command takes the same
-options.  Each reads a JSON config (--config), evaluates over the
-configured kappa ladder or grid and writes a ResultTable as CSV
-('#'-prefixed metadata lines, header row, 17-significant-digit floats) or
-JSON.  Output is deterministic: identical configs produce byte-identical
-files.  Rows are computed one after another; --threads is still accepted
-but has no effect.
+options and every command but thermo needs nu.  `parse_config` alone reads
+the JSON config (--config) and checks every key, even one the command
+ignores.  Each command evaluates over the kappa ladder or grid and writes
+a ResultTable as CSV ('#'-prefixed metadata lines, header row,
+17-significant-digit floats) or JSON, byte-identical for identical
+configs.  Rows are computed one after another; --threads has no effect.
 
-Exit codes: 0 success, 2 config/domain error, 3 convergence error, 4 IO.
+Exit codes: 0 success, 2 config/domain error (also arithmetic beyond the
+float range), 3 convergence error, 4 IO.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ log = logging.getLogger("boseloops")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration parsed from a JSON document."""
+    """The keys of a JSON config, typed and checked by `parse_config`."""
 
     model: str
     kappas: tuple[float, ...]
-    beta: float
-    nu: float | None
-    mu: float | None
+    beta: float = 1.0
+    nu: float | None = None
+    mu: float | None = None
     d: int = 3
     kappa_c: float = 1.0
     omega1: float = 1.0
@@ -55,7 +56,22 @@ class RunConfig:
     units: str = "natural"
     consts: PhysicalConstants = field(default=PhysicalConstants())
     ctl: SeriesControl = field(default=SeriesControl())
-    extra: dict = field(default_factory=dict)
+    x: tuple[float, ...] | None = None  # None: the origin
+    y: tuple[float, ...] | None = None
+    epsilon: float = 0.05
+    grid: tuple[float, ...] = ()
+    delta: float = 1.0
+    rescaled: bool = False
+
+    @property
+    def dim(self) -> int:
+        """The trap's dimension: d if isotropic, else 3."""
+        return self.d if self.model == "isotropic" else 3
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y as arrays; the origin where absent."""
+        return tuple(np.zeros(self.dim) if p is None else np.array(p)
+                     for p in (self.x, self.y))
 
 
 @dataclass
@@ -95,71 +111,104 @@ class ResultTable:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# command-specific config keys, read by the subcommands from RunConfig.extra
-_EXTRA_KEYS = {"x", "y", "epsilon", "grid", "delta", "rescaled"}
+_NUMBERS = ("beta", "nu", "mu", "d", "kappa_c", "omega1", "omega_perp",
+            "epsilon", "delta")
+_LISTS = ("x", "y", "grid")
+_KEYS = {*_NUMBERS, *_LISTS, "model", "kappa", "kappa_ladder", "units",
+         "series", "rescaled"}
+
+
+def _invalid(key: str, expected: str, value) -> DomainError:
+    return DomainError(f"{key} must be {expected}, not "
+                       f"{json.dumps(value, default=str)}")
+
+
+def _number(value, key: str) -> float:
+    """A config value as a finite float: a number or a numeric string, but
+    not a boolean, NaN or an infinity."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise _invalid(key, "a finite number", value)
+
+
+def _numbers(value, key: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise _invalid(key, "a list of numbers", value)
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+
+def _object(value, key: str, keys: tuple[str, ...]) -> dict:
+    """The object under key, with no key outside keys and numbers only."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{key} must be an object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown {key} key(s): {', '.join(unknown)}")
+    return {k: _number(v, f"{key}.{k}") for k, v in value.items()}
 
 
 def parse_config(doc: dict) -> RunConfig:
+    """The run configuration of a JSON document, read here and only here.
+    An unknown key, a NaN or infinity or a value of the wrong type raises a
+    DomainError naming the key; an absent key takes its field's default."""
     if not isinstance(doc, dict):
         raise DomainError("config must be a JSON object")
+    unknown = sorted(set(doc) - _KEYS)
+    if unknown:
+        raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
     model = doc.get("model", "isotropic")
     if model not in ("isotropic", "quasi1d", "quasi2d"):
         raise DomainError(f"unknown model '{model}'")
     if "kappa" in doc and "kappa_ladder" in doc:
         raise DomainError("give either kappa or kappa_ladder, not both")
     if "kappa_ladder" in doc:
-        kappas = tuple(float(k) for k in doc["kappa_ladder"])
+        kappas = _numbers(doc["kappa_ladder"], "kappa_ladder")
         if len(kappas) == 0:
             raise DomainError("kappa_ladder must be non-empty")
         if any(b >= a for a, b in zip(kappas, kappas[1:])):
             raise DomainError("kappa_ladder must be strictly decreasing")
     elif "kappa" in doc:
-        kappas = (float(doc["kappa"]),)
+        kappas = (_number(doc["kappa"], "kappa"),)
     else:
         raise DomainError("config requires kappa or kappa_ladder")
     if ("nu" in doc) == ("mu" in doc):
         raise DomainError("exactly one of nu/mu must be given")
-    beta = float(doc.get("beta", 1.0))
-    nu = float(doc["nu"]) if "nu" in doc else None
-    mu = float(doc["mu"]) if "mu" in doc else None
-    if nu is not None and nu <= 0:
-        raise DomainError("nu must be positive")
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-
+    numbers = {k: _number(doc[k], k) for k in _NUMBERS if k in doc}
+    d = numbers.setdefault("d", 3)
+    if d not in (1, 2, 3):
+        raise _invalid("d", "1, 2 or 3", doc["d"])
+    numbers["d"] = int(d)
     units = doc.get("units", "natural")
     if units == "natural":
         consts = PhysicalConstants()
     elif isinstance(units, dict):
-        consts = PhysicalConstants(float(units.get("hbar", 1.0)),
-                                   float(units.get("mass", 1.0)),
-                                   float(units.get("omega0", 1.0)))
+        consts = PhysicalConstants(**_object(units, "units",
+                                             ("hbar", "mass", "omega0")))
         units = "explicit"
     else:
         raise DomainError("units must be 'natural' or an object")
-
-    series = doc.get("series", {})
-    if not isinstance(series, dict):
-        raise DomainError("series must be an object")
-    unknown = sorted(set(series) - {"rel_tol", "sigma", "sigma2"})
-    if unknown:
-        raise DomainError(f"unknown series key(s): {', '.join(unknown)}")
-    ctl = SeriesControl(
-        rel_tol=float(series.get("rel_tol", 1e-10)),
-        sigma=float(series.get("sigma", 1.25)),
-        sigma2=float(series.get("sigma2", 0.0)),
-    )
-    known = {"model", "kappa", "kappa_ladder", "beta", "nu", "mu", "d",
-             "kappa_c", "omega1", "omega_perp", "units", "series"}
-    extra = {k: v for k, v in doc.items() if k not in known}
-    unknown = sorted(set(extra) - _EXTRA_KEYS)
-    if unknown:
-        raise DomainError(f"unknown config key(s): {', '.join(unknown)}")
-    return RunConfig(model=model, kappas=kappas, beta=beta, nu=nu, mu=mu,
-                     d=int(doc.get("d", 3)), kappa_c=float(doc.get("kappa_c", 1.0)),
-                     omega1=float(doc.get("omega1", 1.0)),
-                     omega_perp=float(doc.get("omega_perp", 1.0)),
-                     units=units, consts=consts, ctl=ctl, extra=extra)
+    ctl = SeriesControl(**_object(doc.get("series", {}), "series",
+                                  ("rel_tol", "sigma", "sigma2")))
+    rescaled = doc.get("rescaled", False)
+    if not isinstance(rescaled, bool):
+        raise _invalid("rescaled", "true or false", rescaled)
+    cfg = RunConfig(model, kappas, units=units, consts=consts, ctl=ctl,
+                    rescaled=rescaled, **numbers,
+                    **{k: _numbers(doc[k], k) for k in _LISTS if k in doc})
+    if cfg.nu is not None and cfg.nu <= 0:
+        raise DomainError("nu must be positive")
+    if cfg.beta <= 0:
+        raise DomainError("beta must be positive")
+    for key, point in (("x", cfg.x), ("y", cfg.y)):
+        if point is not None and len(point) != cfg.dim:
+            raise DomainError(f"{key} must have dimension {cfg.dim}")
+    return cfg
 
 
 def build_trap(cfg: RunConfig, kappa: float) -> TrapModel:
@@ -170,21 +219,9 @@ def build_trap(cfg: RunConfig, kappa: float) -> TrapModel:
 
 
 def _base_metadata(cfg: RunConfig) -> dict:
-    meta = {"software_version": __version__, "model": cfg.model,
-            "units": cfg.units, "beta": cfg.beta}
-    if cfg.nu is not None:
-        meta["nu"] = cfg.nu
-    else:
-        meta["mu"] = cfg.mu
-    return meta
-
-
-def _point(cfg: RunConfig, key: str, dim: int) -> np.ndarray:
-    raw = cfg.extra.get(key, [0.0] * dim)
-    p = np.atleast_1d(np.asarray(raw, dtype=float))
-    if p.shape != (dim,):
-        raise DomainError(f"{key} must have dimension {dim}")
-    return p
+    target = {"nu": cfg.nu} if cfg.nu is not None else {"mu": cfg.mu}
+    return {"software_version": __version__, "model": cfg.model,
+            "units": cfg.units, "beta": cfg.beta, **target}
 
 
 def cmd_thermo(cfg: RunConfig) -> ResultTable:
@@ -192,7 +229,6 @@ def cmd_thermo(cfg: RunConfig) -> ResultTable:
                "nu_c"]
     if cfg.model == "quasi1d":
         columns.append("nu_m")
-    epsilon = float(cfg.extra.get("epsilon", 0.05))
 
     def one(kappa: float) -> list:
         trap = build_trap(cfg, kappa)
@@ -206,7 +242,7 @@ def cmd_thermo(cfg: RunConfig) -> ResultTable:
             nu = nu_rescaled(eq)
         nu_c = _nu_critical_trap(cfg.beta, trap)
         row = [kappa, mu, eq.gap, nu, occupation(eq, (0,) * trap.dim),
-               gbec_band_sum(eq, epsilon),
+               gbec_band_sum(eq, cfg.epsilon),
                "divergent:d1-no-critical-number" if math.isinf(nu_c) else nu_c]
         if cfg.model == "quasi1d":
             row.append(nu_m(cfg.beta, trap))
@@ -214,13 +250,11 @@ def cmd_thermo(cfg: RunConfig) -> ResultTable:
 
     rows = [one(kappa) for kappa in cfg.kappas]
     meta = _base_metadata(cfg)
-    meta["epsilon"] = epsilon
+    meta["epsilon"] = cfg.epsilon
     return ResultTable(columns, rows, meta)
 
 
 def cmd_mu_solve(cfg: RunConfig) -> ResultTable:
-    if cfg.nu is None:
-        raise DomainError("mu-solve requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
 
     def one(kappa: float) -> list:
@@ -236,14 +270,11 @@ def cmd_mu_solve(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_rdm(cfg: RunConfig) -> ResultTable:
-    if cfg.nu is None:
-        raise DomainError("rdm requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
+    x, y = cfg.points()
 
     def one(kappa: float) -> list:
         trap = build_trap(cfg, kappa)
-        x = _point(cfg, "x", trap.dim)
-        y = _point(cfg, "y", trap.dim)
         eq = Equilibrium.solve(target, trap, cfg.ctl)
         return [kappa, *rdm_columns(x, y, eq)]
 
@@ -253,52 +284,44 @@ def cmd_rdm(cfg: RunConfig) -> ResultTable:
 
 
 def cmd_profile(cfg: RunConfig) -> ResultTable:
-    if cfg.nu is None:
-        raise DomainError("profile requires nu in the config")
     if cfg.model != "isotropic":
         raise DomainError("profile requires the isotropic model")
     if len(cfg.kappas) != 1:
         raise DomainError("profile runs at a single kappa")
-    grid = cfg.extra.get("grid", [])
-    if not isinstance(grid, list) or len(grid) == 0:
+    if not cfg.grid:
         raise DomainError("profile requires a non-empty grid")
-    delta = float(cfg.extra.get("delta", 1.0))
-    rescaled = bool(cfg.extra.get("rescaled", False))
     target = CanonicalTarget(cfg.beta, cfg.nu)
     trap = build_trap(cfg, cfg.kappas[0])
     eq = Equilibrium.solve(target, trap, cfg.ctl)
     law = divergence_law(cfg.beta, cfg.nu, trap.dim, cfg.consts)
-    limit = scaled_density_profile(delta, target, trap.dim, cfg.consts,
-                                   cfg.ctl, rescaled)
+    limit = scaled_density_profile(cfg.delta, target, trap.dim, cfg.consts,
+                                   cfg.ctl, cfg.rescaled)
 
-    def one(r) -> list:
+    def one(r: float) -> list:
         x = np.zeros(trap.dim)
-        x[0] = float(r)
-        val = local_density_scaled(x, delta, eq, rescaled)
+        x[0] = r
+        val = local_density_scaled(x, cfg.delta, eq, cfg.rescaled)
         pred = limit(x)
         if pred is None:
-            return [float(r), val, "no-limit-claimed", "n/a"]
+            return [r, val, "no-limit-claimed", "n/a"]
         if math.isinf(pred):
-            return [float(r), val, f"divergent:{law}", "n/a"]
+            return [r, val, f"divergent:{law}", "n/a"]
         dev = abs(val - pred) / abs(pred) if pred != 0.0 else abs(val)
-        return [float(r), val, pred, dev]
+        return [r, val, pred, dev]
 
-    rows = [one(r) for r in grid]
+    rows = [one(r) for r in cfg.grid]
     meta = _base_metadata(cfg)
-    meta.update({"kappa": cfg.kappas[0], "delta": delta,
-                 "rescaled": int(rescaled)})
+    meta.update({"kappa": cfg.kappas[0], "delta": cfg.delta,
+                 "rescaled": int(cfg.rescaled)})
     return ResultTable(["x", "value", "prediction", "rel_deviation"], rows, meta)
 
 
 def cmd_loops(cfg: RunConfig) -> ResultTable:
-    if cfg.nu is None:
-        raise DomainError("loops requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
+    x, y = cfg.points()
 
     def one(kappa: float) -> list:
         trap = build_trap(cfg, kappa)
-        x = _point(cfg, "x", trap.dim)
-        y = _point(cfg, "y", trap.dim)
         dec = loop_decompose(x, y, Equilibrium.solve(target, trap, cfg.ctl))
         scale = trap.kappa_abs ** (trap.dim / 2.0)
         pred = condensate_density(cfg.beta, cfg.nu, trap.dim,
@@ -319,14 +342,11 @@ def cmd_loops(cfg: RunConfig) -> ResultTable:
 def cmd_aniso_check(cfg: RunConfig) -> ResultTable:
     if cfg.model == "isotropic":
         raise DomainError("aniso-check requires an anisotropic model")
-    if cfg.nu is None:
-        raise DomainError("aniso-check requires nu in the config")
     target = CanonicalTarget(cfg.beta, cfg.nu)
+    x, y = cfg.points()
 
     def one(kappa: float) -> list:
         trap = build_trap(cfg, kappa)
-        x = _point(cfg, "x", trap.dim)
-        y = _point(cfg, "y", trap.dim)
         regime = classify(target, trap)
         if cfg.model == "quasi1d":
             if regime.tag == "subcritical":
@@ -352,14 +372,9 @@ def cmd_aniso_check(cfg: RunConfig) -> ResultTable:
     return ResultTable(columns, rows, _base_metadata(cfg))
 
 
-_COMMANDS = {
-    "thermo": cmd_thermo,
-    "mu-solve": cmd_mu_solve,
-    "rdm": cmd_rdm,
-    "profile": cmd_profile,
-    "loops": cmd_loops,
-    "aniso-check": cmd_aniso_check,
-}
+_COMMANDS = {"thermo": cmd_thermo, "mu-solve": cmd_mu_solve, "rdm": cmd_rdm,
+             "profile": cmd_profile, "loops": cmd_loops,
+             "aniso-check": cmd_aniso_check}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,16 +397,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = _build_parser().parse_args(argv)
     try:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            print(f"boseloops: IO error: {exc}", file=sys.stderr)
-            return 4
-        except json.JSONDecodeError as exc:
-            print(f"boseloops: config parse error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         cfg = parse_config(doc)
+        if cfg.nu is None and args.command != "thermo":
+            raise DomainError(f"{args.command} requires nu in the config")
         log.info("running %s over %d kappa value(s)", args.command,
                  len(cfg.kappas))
         table = _COMMANDS[args.command](cfg)
@@ -399,18 +409,24 @@ def main(argv=None) -> int:
         if args.output is None:
             sys.stdout.write(text)
         else:
-            try:
-                with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"boseloops: IO error: {exc}", file=sys.stderr)
-                return 4
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         return 0
+    except OSError as exc:
+        print(f"boseloops: IO error: {exc}", file=sys.stderr)
+        return 4
+    except json.JSONDecodeError as exc:
+        print(f"boseloops: config parse error: {exc}", file=sys.stderr)
+        return 2
     except BracketError as exc:
         print(f"boseloops: convergence error: {exc}", file=sys.stderr)
         return 3
     except (BoseloopsError, ValueError, TypeError) as exc:
         print(f"boseloops: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"boseloops: arithmetic beyond the float range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
 

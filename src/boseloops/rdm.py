@@ -250,31 +250,24 @@ def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
     trap, beta, ctl = eq.trap, eq.beta, eq.ctl
     xv, yv = _check_points(x, y, trap)
     w0 = beta * eq.gap
-    hw = trap.consts.hbar * axis_omega_kappa(trap)
-    a = beta * hw
     consts = trap.consts
+    wk = axis_omega_kappa(trap)
+    hw = consts.hbar * wk
+    a = beta * hw
+    c = consts.mass * wk / consts.hbar  # as in `_kernel_axes`
 
-    prods = []
+    # axis j of the trap is axis j of the (s_max + 1)^d grid
+    s = np.arange(0, s_max + 1, dtype=float)
+    excite, p = 0.0, 1.0
     for j in range(trap.dim):
+        shape = [-1 if i == j else 1 for i in range(trap.dim)]
         kappa_eff = hw[j] / (consts.hbar * consts.omega0)
         px = hermite_eigen_table(s_max, float(xv[j]), kappa_eff, consts)
         py = hermite_eigen_table(s_max, float(yv[j]), kappa_eff, consts)
-        prods.append(px * py)
+        excite = excite + a[j] * s.reshape(shape)
+        p = p * (px * py).reshape(shape)
+    val = float(np.sum(p * bose(w0 + excite)))
 
-    if trap.dim == 1:
-        s = np.arange(0, s_max + 1, dtype=float)
-        val = float(np.sum(prods[0] * bose(w0 + a[0] * s)))
-    else:
-        s = np.arange(0, s_max + 1, dtype=float)
-        shapes = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)][: trap.dim]
-        e = w0 + sum(a[j] * s.reshape(shapes[j]) for j in range(trap.dim))
-        weights = bose(e)
-        p = prods[0].reshape(shapes[0])
-        for j in range(1, trap.dim):
-            p = p * prods[j].reshape(shapes[j])
-        val = float(np.sum(p * weights))
-
-    c = consts.mass * hw / consts.hbar
     sup = _CRAMER**2 / math.sqrt(math.pi) * float(np.prod(np.sqrt(c)))
     a_min = float(np.min(a))
     tail_bound = sup * trap.dim * float(bose(w0 + a_min * (s_max + 1))) \
@@ -447,26 +440,15 @@ def condensate_density(beta: float, nu: float, d: int,
         * (nu - nu_c) / de_broglie(beta, consts) ** d
 
 
-def scaled_density_limit(x, delta: float, target: CanonicalTarget, d: int,
-                         consts: PhysicalConstants = DEFAULT_CONSTANTS,
-                         ctl: SeriesControl = DEFAULT_CONTROL,
-                         rescaled: bool = False) -> float | None:
-    """Closed-form kappa->0 limit of the delta-scaled density.
-
-    Returns None where no limit is claimed (d=2 noncondensate window).
-    Raises RegimeError inside the critical band.
-    """
-    return scaled_density_profile(delta, target, d, consts, ctl,
-                                  rescaled)(x)
-
-
 def scaled_density_profile(delta: float, target: CanonicalTarget, d: int,
                            consts: PhysicalConstants = DEFAULT_CONSTANTS,
                            ctl: SeriesControl = DEFAULT_CONTROL,
                            rescaled: bool = False):
-    """`scaled_density_limit` as a function of the point x alone, for a
-    whole profile: the regime and, below nu_c, the open-trap mu0 are found
-    once, not once per point.
+    """The closed-form kappa->0 limit of the delta-scaled density, as a
+    function of the point x: the regime and, below nu_c, the open-trap mu0
+    are found once for a whole profile, not once per point.  The function
+    returns None where no limit is claimed (the d = 2 noncondensate
+    window); inside the critical band this raises RegimeError.
 
     Unrescaled, the limit is the semiclassical density
     lambda^-d g_{d/2}(e^{beta(mu0 - V)}), with mu0 = 0 above nu_c and

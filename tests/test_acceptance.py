@@ -54,7 +54,7 @@ from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, axis_omega_kappa,
                                mehler_kernel_1d, semigroup_trace)
 from boseloops.rdm import (loop_decompose, local_density_scaled, noncondensate,
                            rdm_eigen, rdm_loops, rdm_rescaled,
-                           scaled_density_limit)
+                           scaled_density_profile)
 from boseloops.specfun import de_broglie, polylog
 from boseloops.thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
                               gap_asymptotic, gbec_band_sum, nu_critical,
@@ -172,7 +172,7 @@ class TestCriterion7Profiles:
     def test_delta_one_pointwise(self, r):
         target = CanonicalTarget(BETA, 2.0 * ZETA_3)
         x = np.array([r, 0.0, 0.0])
-        pred = scaled_density_limit(x, 1.0, target, 3)
+        pred = scaled_density_profile(1.0, target, 3)(x)
         lam = de_broglie(BETA)
         assert pred == pytest.approx(
             polylog(1.5, math.exp(-0.5 * r * r)) / lam ** 3, rel=1e-10)

@@ -3,11 +3,15 @@ formats and determinism."""
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boseloops
 from boseloops import rdm, specfun, thermo
 from boseloops.cli import ResultTable, main, parse_config
 from boseloops.errors import DomainError
@@ -106,9 +110,43 @@ class TestParseConfig:
         assert code == 2
         assert "epsilom" in capsys.readouterr().err
 
-    def test_extra_passthrough(self):
-        cfg = parse_config({"kappa": 0.3, "nu": 1.0, "x": [0.1, 0.0, 0.0]})
-        assert cfg.extra == {"x": [0.1, 0.0, 0.0]}
+    def test_command_keys_typed(self):
+        cfg = parse_config({"kappa": 0.3, "nu": 1.0, "x": [0.1, 0, "0"],
+                            "grid": [1, 2.5], "rescaled": True})
+        assert cfg.x == (0.1, 0.0, 0.0) and cfg.y is None
+        assert cfg.grid == (1.0, 2.5) and cfg.rescaled is True
+        assert (cfg.epsilon, cfg.delta) == (0.05, 1.0)
+        x, y = cfg.points()
+        assert x.tolist() == [0.1, 0.0, 0.0] and y.tolist() == [0.0] * 3
+        # the dimension of a point is the trap's: d, or 3 if anisotropic
+        assert parse_config({"kappa": 0.3, "nu": 1.0, "d": 1,
+                             "x": [0.2]}).points()[1].tolist() == [0.0]
+        with pytest.raises(DomainError, match="x must have dimension 3"):
+            parse_config({"model": "quasi1d", "kappa": 0.3, "nu": 1.0,
+                          "d": 1, "x": [0.2]})
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("kappa_ladder", 0.3, "kappa_ladder must be a list of numbers"),
+        ("kappa_ladder", [0.3, "0.2x"], "kappa_ladder.1. must be a finite"),
+        ("mu", None, "mu must be a finite number, not null"),
+        ("d", "3.5", "d must be 1, 2 or 3"),
+        ("d", 10**400, "d must be a finite number"),
+        ("units", {"hbar": 1.0, "h": 2.0}, "unknown units key.s.: h"),
+        ("units", {"mass": False}, "units.mass must be a finite number"),
+        ("series", {"sigma2": "inf"}, "series.sigma2 must be a finite"),
+        ("y", [0.0, 0.0], "y must have dimension 3"),
+        ("grid", 0.4, "grid must be a list of numbers"),
+        ("delta", [0.5], "delta must be a finite number"),
+        ("rescaled", 1, "rescaled must be true or false, not 1"),
+    ])
+    def test_malformed_value_rejected(self, key, value, match):
+        # the document is read once, so even a key the command ignores is
+        # checked; numeric strings are read as numbers
+        doc = {"kappa": 0.3, "nu": "1.0"}
+        doc.pop({"mu": "nu", "kappa_ladder": "kappa"}.get(key), None)
+        doc[key] = value
+        with pytest.raises(DomainError, match=match):
+            parse_config(doc)
 
 
 class TestResultTable:
@@ -206,12 +244,96 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "usage: boseloops" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, message", [
+        *[(command, {"model": "quasi1d", "kappa": 0.3, "mu": -0.5,
+                     "grid": [0.4]}, f"{command} requires nu in the config")
+          for command in ("mu-solve", "rdm", "profile", "loops",
+                          "aniso-check")],
+        ("profile", {"model": "quasi1d", "kappa": 0.3, "nu": 2.0,
+                     "grid": [0.4]}, "profile requires the isotropic model"),
+        ("profile", {"kappa_ladder": [0.3, 0.2], "nu": 2.0, "grid": [0.4]},
+         "profile runs at a single kappa"),
+        ("thermo", [0.3, 2.0], "config must be a JSON object"),
+        ("thermo", {"kappa": 0.3, "nu": -1.0}, "nu must be positive"),
+        ("thermo", {"kappa": 0.3, "nu": 2.0, "beta": 0.0},
+         "beta must be positive"),
+    ])
+    def test_config_rejected(self, tmp_path, capsys, command, doc, message):
+        code, out = _run(tmp_path, command, doc)
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == f"boseloops: {message}\n"
+
     def test_help_lists_the_six_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
         assert "{thermo,mu-solve,rdm,profile,loops,aniso-check}" \
             in capsys.readouterr().out
+
+
+# configs that exit 2 with one "boseloops:" line and no traceback: NaN,
+# infinite and wrongly typed values (the message names the key; Python's
+# json reads NaN and Infinity), then finite values whose arithmetic leaves
+# the float range
+_REJECTED = [
+    ("mu-solve", '{"kappa": 0.3, "nu": NaN}', "nu must be a finite"),
+    ("thermo", '{"kappa": NaN, "nu": 2}', "kappa must be a finite"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "beta": NaN}', "beta must be"),
+    ("thermo", '{"model": "quasi1d", "kappa": 0.3, "nu": 2, '
+               '"kappa_c": NaN}', "kappa_c must be"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "units": {"hbar": NaN}}',
+     "units.hbar must be"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "x": [NaN, 0, 0]}', "x[0] must be"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "series": {"sigma": NaN}}',
+     "series.sigma must be"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "omega1": -Infinity}',
+     "omega1 must be"),
+    ("profile", '{"kappa": 0.05, "nu": 2, "grid": [0.4], '
+                '"rescaled": "false"}', "rescaled must be true or false"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "d": 2.7}', "d must be 1, 2 or 3"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "d": true}', "d must be a finite"),
+    ("thermo", '{"kappa": 1e300, "nu": 2}', "float range"),
+    ("mu-solve", '{"kappa": 1e300, "nu": 2}', "float range"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "beta": 1e300}', "float range"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "beta": 1e-300}', "float range"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "units": {"hbar": 1e-200}}',
+     "float range"),
+    ("thermo", '{"kappa": 0.3, "nu": 2, "units": {"omega0": 1e200}}',
+     "float range"),
+    ("loops", '{"kappa": 0.3, "nu": 2, "x": [1e200, 0, 0]}', "float range"),
+    ("rdm", '{"kappa": 0.3, "nu": 2, "x": [1e200, 0, 0]}', "float range"),
+    ("loops", '{"kappa": 0.3, "nu": 2, "units": {"mass": 1e308}}',
+     "float range"),
+]
+
+# runs main on each argv list in one interpreter; an uncaught exception
+# ends it with a traceback
+_RUN_EACH = ("import json, sys\n"
+           "from boseloops.cli import main\n"
+           "print(json.dumps([main(a) for a in json.loads(sys.argv[1])]))\n")
+
+
+class TestMalformedInput:
+    def test_exit_2_without_traceback(self, tmp_path):
+        argvs = []
+        for i, (command, text, _) in enumerate(_REJECTED):
+            path = tmp_path / f"c{i}.json"
+            path.write_text(text)
+            argvs.append([command, "--config", str(path)])
+        src = str(Path(boseloops.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _RUN_EACH,
+                               json.dumps(argvs)], capture_output=True,
+                              text=True, env=env, timeout=600)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout.splitlines()[-1]) == [2] * len(argvs)
+        messages = [line for line in proc.stderr.splitlines()
+                    if line.startswith("boseloops: ")]
+        assert len(messages) == len(argvs)
+        for message, (_, text, expected) in zip(messages, _REJECTED):
+            assert expected in message, text
 
 
 class TestThermoCommand:
@@ -491,7 +613,7 @@ class TestOneSolvePerRow:
         # below nu_c the limit column needs the open-trap mu0, which does
         # not depend on the point: one solve for the profile, besides the
         # one behind the gap solve's closed-form guess (it was one per
-        # point), and the column is the per-point scaled_density_limit
+        # point), and the column is scaled_density_profile at each point
         grid = [0.1 * i for i in range(1, 41)]
         doc = {"kappa": 0.05, "nu": 0.5, "delta": 1.0, "grid": grid}
         calls = self._count_calls(monkeypatch, thermo.mu_open_trap)
@@ -502,6 +624,6 @@ class TestOneSolvePerRow:
         _, _, rows = _parse_csv(out.read_text())
         target = thermo.CanonicalTarget(1.0, 0.5)
         for r, row in zip(grid, rows):
-            pred = rdm.scaled_density_limit(np.array([r, 0.0, 0.0]), 1.0,
-                                            target, 3)
+            pred = rdm.scaled_density_profile(1.0, target, 3)(
+                np.array([r, 0.0, 0.0]))
             assert row[2] == f"{pred:.17g}"

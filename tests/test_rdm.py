@@ -15,7 +15,7 @@ from boseloops.rdm import (BarometricRadii, LoopDecomposition, barometric_radii,
                            divergence_law, local_density_scaled,
                            loop_decompose, noncondensate, open_trap_rdm,
                            rdm_eigen, rdm_loops, rdm_rescaled,
-                           scaled_density_limit)
+                           scaled_density_profile)
 from boseloops.specfun import (PhysicalConstants, SeriesControl, de_broglie,
                                polylog)
 from boseloops.thermo import CanonicalTarget, Equilibrium, bose, nu_critical
@@ -46,6 +46,23 @@ class TestDualRepresentation:
         trap = Isotropic(1, 0.02)  # slow spectrum: s_max=20 cannot converge
         with pytest.warns(TruncationWarning):
             rdm_eigen(np.zeros(1), np.zeros(1), _eq(trap, 1.0), s_max=20)
+
+    def test_truncation_bound_in_units(self):
+        # hbar = m = 4 at beta/4 and 4 times the gap has the same rates
+        # a_j, the same c_j = m omega_j kappa_j / hbar and the same w0 as the
+        # unit equilibrium: the same value and the same warned bound (the
+        # bound once took c_j = m omega_j kappa_j and was 4^{3/2} larger)
+        trap = Isotropic(3, 0.2)
+        twin = Isotropic(3, 0.2, PhysicalConstants(hbar=4.0, mass=4.0))
+        x = np.full(3, 0.3)
+        found = []
+        for eq in (Equilibrium(1.0, trap, SeriesControl(), 0.05),
+                   Equilibrium(0.25, twin, SeriesControl(), 0.2)):
+            with pytest.warns(TruncationWarning) as record:
+                val = rdm_eigen(x, np.zeros(3), eq, s_max=12)
+            found.append((val, record[0].message.args[0]))
+        assert found[0][0] == found[1][0] == 0.39765819167778527
+        assert found[0][1] == found[1][1] == pytest.approx(2.2810, rel=1e-4)
 
 
 class TestStructure:
@@ -482,7 +499,7 @@ class TestOpenTrapLimit:
     @pytest.mark.parametrize("f", [1 - 2e-6, 1 - 5e-7, 1.0, 1 + 5e-7, 1 + 2e-6])
     def test_one_band_rule(self, d, f):
         # open_trap_rdm is +inf exactly where divergence_law names a law,
-        # and scaled_density_limit raises exactly within the band; d = 3
+        # and scaled_density_profile raises exactly within the band; d = 3
         # within the band takes the finite critical value on both sides
         nu = f * nu_critical(1.0, d)
         x = np.zeros(d)
@@ -496,7 +513,7 @@ class TestOpenTrapLimit:
                 polylog(1.5, 1.0) / de_broglie(1.0) ** 3, rel=1e-14)
         x[0] = 0.5
         try:
-            scaled_density_limit(x, 1.0, _target(nu), d)
+            scaled_density_profile(1.0, _target(nu), d)(x)
             raised = False
         except RegimeError:
             raised = True
@@ -529,27 +546,47 @@ class TestScaledProfiles:
         target = _target(2.0 * ZETA_3)
         x = np.array([0.5, 0.0, 0.0])
         # unrescaled, delta=1: semiclassical closed form
-        lim = scaled_density_limit(x, 1.0, target, 3)
+        lim = scaled_density_profile(1.0, target, 3)(x)
         lam = de_broglie(1.0)
         assert lim == pytest.approx(
             polylog(1.5, math.exp(-0.125)) / lam**3, rel=1e-10)
         # rescaled branches: plateau, Gaussian shoulder, zero
         amp = 2.0 ** 1.5 * (target.nu - ZETA_3) / lam**3
-        assert scaled_density_limit(x, 0.2, target, 3, rescaled=True) \
+        assert scaled_density_profile(0.2, target, 3, rescaled=True)(x) \
             == pytest.approx(amp, rel=1e-12)
-        assert scaled_density_limit(x, 0.5, target, 3, rescaled=True) \
+        assert scaled_density_profile(0.5, target, 3, rescaled=True)(x) \
             == pytest.approx(amp * math.exp(-0.25), rel=1e-12)
-        assert scaled_density_limit(x, 0.9, target, 3, rescaled=True) == 0.0
+        assert scaled_density_profile(0.9, target, 3, rescaled=True)(x) \
+            == 0.0
         # d=2 noncondensate window claims no limit
-        assert scaled_density_limit(np.array([0.5, 0.0]), 0.3, target, 2) \
+        assert scaled_density_profile(0.3, target, 2)(np.array([0.5, 0.0])) \
             is None
         # d=3 unrescaled, shallow delta: divergent
-        assert math.isinf(scaled_density_limit(x, 0.2, target, 3))
+        assert math.isinf(scaled_density_profile(0.2, target, 3)(x))
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: open_trap_rdm(np.zeros(4), np.zeros(4), 1.0, 0.5, 4),
+         "d must be 1, 2 or 3"),
+        (lambda: open_trap_rdm(np.zeros(2), np.zeros(3), 1.0, 0.5, 3),
+         "points must have dimension 3"),
+        (lambda: local_density_scaled(np.ones(3), 1.5,
+                                      _eq(Isotropic(3, 0.2), 1.0)),
+         "delta must lie in"),
+        (lambda: local_density_scaled(np.ones(2), 0.5,
+                                      _eq(Isotropic(3, 0.2), 1.0)),
+         "point must have dimension 3"),
+        (lambda: scaled_density_profile(-0.1, _target(0.5), 3),
+         "delta must lie in"),
+    ], ids=["open-trap-d", "open-trap-point", "scaled-delta",
+            "scaled-point", "profile-delta"])
+    def test_domain_checks(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
 
     def test_critical_band_rejected(self):
         x = np.array([0.5, 0.0, 0.0])
         with pytest.raises(RegimeError):
-            scaled_density_limit(x, 1.0, _target(ZETA_3 * (1 + 1e-9)), 3)
+            scaled_density_profile(1.0, _target(ZETA_3 * (1 + 1e-9)), 3)(x)
 
 
 class TestBarometricRadii:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from boseloops import aniso, rdm, specfun, thermo
-from boseloops.errors import (BracketError, DomainError, ModelError,
-                              RegimeError, TruncationWarning)
+from boseloops.errors import (BracketError, DimensionMismatch, DomainError,
+                              ModelError, RegimeError, TruncationWarning)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, ground_energy)
 from boseloops.specfun import DEFAULT_CONTROL, SeriesControl
 from boseloops.thermo import (CanonicalTarget, Equilibrium, _band_series,
@@ -817,6 +817,18 @@ class TestOpenTrapLaws:
         assert gap_asymptotic(CanonicalTarget(1.0, 40.0),
                               Isotropic(1, 0.2)) > 0.0
 
+    @pytest.mark.parametrize("call, match", [
+        (lambda: nu_open_trap(1.0, 0.0, 3), "requires mu < 0"),
+        (lambda: nu_open_trap(1.0, -0.5, 4), "d must be 1, 2 or 3"),
+        (lambda: nu_critical(1.0, 0), "d must be 1, 2 or 3"),
+        (lambda: nu_critical(0.0, 3), "beta must be positive"),
+        (lambda: mu_open_trap(1.0, 0.5, 4), "d must be 1, 2 or 3"),
+    ], ids=["nu-open-mu", "nu-open-d", "nu-critical-d", "nu-critical-beta",
+            "mu-open-d"])
+    def test_domain_checks(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()
+
     def test_mu_open_trap_supercritical_rejected(self):
         with pytest.raises(RegimeError):
             mu_open_trap(1.0, 2.0 * ZETA_3, 3)
@@ -950,6 +962,12 @@ class TestOccupationAndBand:
             occ = occupation(eq, (0, 0, 0))
         assert occ == pytest.approx(trap.kappa**3 * math.exp(-720.15),
                                     rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("s, error", [
+        ((0, 0), DimensionMismatch), ((0, -1, 0), DomainError)])
+    def test_bad_index_rejected(self, s, error):
+        with pytest.raises(error):
+            occupation(_eq(Isotropic(3, 0.2), 0.1), s)
 
     def test_excited_below_ground(self):
         trap = Isotropic(3, 0.2)
