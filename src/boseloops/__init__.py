@@ -21,4 +21,7 @@ from .aniso import (AnisotropicRegime, ChiSplit, MesoPrediction,
                     additional_q2d, classify, meso_q1d, meso_q1d_prediction,
                     q2d_additional_limit, q2d_chi_split)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import types as _types
+
+__all__ = [name for name, value in sorted(globals().items()) if not (
+    name.startswith("_") or isinstance(value, _types.ModuleType))]

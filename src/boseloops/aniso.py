@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ModelError, RegimeError
-from .kernels import Isotropic, Quasi1D, Quasi2D, TrapModel
+from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel,
+                      axis_inverse_lengths, axis_rates)
 from .rdm import _noncond_windows, _window_cutoffs
 from .specfun import de_broglie, polylog
 from .thermo import (CanonicalTarget, Equilibrium, _nu_critical_trap,
@@ -68,7 +69,7 @@ def meso_q1d(x, y, eq: Equilibrium) -> float:
     (treated as infinite once it exceeds 2^62)."""
     if not isinstance(eq.trap, Quasi1D):
         raise ModelError("meso_q1d requires a Quasi1D trap")
-    n_short, m, _ = _window_cutoffs(eq.trap, eq.ctl, 1.0)
+    n_short, m = _window_cutoffs(eq.trap, eq.ctl, 1.0)
     val = _noncond_windows(x, y, eq, [n_short, m])[0]
     if not val > 0.0:
         raise DomainError("mesoscopic window sum is not positive; no log")
@@ -93,26 +94,23 @@ class MesoPrediction:
 def meso_q1d_prediction(target: CanonicalTarget,
                         trap: Quasi1D) -> MesoPrediction:
     """Predicted asymptotics of the Quasi1D mesoscopic sum for nu > nu_c, in
-    the regime of `classify`: exponent g_3(1)(eta-1)/(2 (hbar omega_perp
-    kappa beta)^2) for 'gbec_only', omega_c^2/(2 omega_perp^2 kappa^2) else.
+    the regime of `classify`: exponent g_3(1)(eta-1)/(2 a_perp^2), a_perp of
+    `axis_rates`, for 'gbec_only', omega_c^2/(2 omega_perp^2 kappa^2) else.
     A closed form: no series control is taken."""
     if not isinstance(trap, Quasi1D):
         raise ModelError("meso_q1d_prediction requires a Quasi1D trap")
     beta = target.beta
-    consts = trap.consts
     if not target.nu > _nu_critical_trap(beta, trap):
         raise RegimeError("mesoscopic prediction applies for nu > nu_c")
     regime = classify(target, trap)
     if regime.tag == "gbec_only":
         exponent = polylog(3.0, 1.0) * (regime.eta - 1.0) \
-            / (2.0 * (consts.hbar * trap.omega_perp * trap.kappa * beta) ** 2)
+            / (2.0 * float(axis_rates(beta, trap)[1]) ** 2)
     else:
         omega_c = trap.omega_perp * trap.kappa_c
         exponent = omega_c**2 / (2.0 * trap.omega_perp**2 * trap.kappa**2)
-    kappa_perp = trap.kappas[1]
-    lam = de_broglie(beta, consts)
-    pref = consts.mass * trap.omega_perp * kappa_perp / (math.sqrt(math.pi)
-                                                         * consts.hbar * lam)
+    pref = float(axis_inverse_lengths(trap)[1]) \
+        / (math.sqrt(math.pi) * de_broglie(beta, trap.consts))
     return MesoPrediction(regime.tag, exponent, math.log(pref))
 
 
@@ -146,7 +144,7 @@ def additional_q2d(x, y, eq: Equilibrium, chi: float = 2.0) -> float:
         raise ModelError("additional_q2d requires a Quasi2D trap")
     if chi <= 0:
         raise DomainError("chi must be positive")
-    n_short, m, _ = _window_cutoffs(eq.trap, eq.ctl, chi)
+    n_short, m = _window_cutoffs(eq.trap, eq.ctl, chi)
     return _noncond_windows(x, y, eq, [n_short, m])[0]
 
 
@@ -179,7 +177,9 @@ def q2d_chi_split(x, y, eq: Equilibrium) -> ChiSplit:
     trap = eq.trap
     if not isinstance(trap, Quasi2D):
         raise ModelError("q2d_chi_split requires a Quasi2D trap")
-    n_short, m, mid = _window_cutoffs(trap, eq.ctl, 2.0)
+    n_short, m = _window_cutoffs(trap, eq.ctl, 2.0)
+    mid = max(int(math.floor(trap.kappa ** (-eq.ctl.sigma2)
+                             / trap.kappas[1])), n_short)
     first, second = _noncond_windows(x, y, eq, [n_short, mid, max(m, mid)])
     return ChiSplit(first, second,
                     0.5 * q2d_additional_limit(eq.beta, trap))

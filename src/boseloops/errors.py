@@ -34,3 +34,12 @@ class OriginError(DomainError):
 class TruncationWarning(UserWarning):
     """Emitted when a reported tail bound or quadrature error estimate
     exceeds the requested tolerance; carries the bound as its argument."""
+
+
+def check_positive(obj, *names: str) -> None:
+    """Raise DomainError naming the first of the fields names of obj that is
+    not positive; NaN is not."""
+    for name in names:
+        value = getattr(obj, name)
+        if not value > 0:
+            raise DomainError(f"{name} must be positive, not {value!r}")

@@ -5,6 +5,9 @@ Trap models carry the per-axis frequency scalings:
   Isotropic: kappa_j = kappa on every axis, frequency omega0;
   Quasi1D:   kappa_1 = kappa*exp(-kappa_c^2/kappa^2), kappa_perp = kappa;
   Quasi2D:   kappa_1 = kappa, kappa_perp = kappa*exp(-sqrt(kappa_c/kappa)).
+Each anisotropic model's `suppression` is that exponent.  Every loop series
+takes its per-axis rates and inverse lengths from `axis_rates` and
+`axis_inverse_lengths`; the oracle kernels keep their own forms.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, check_positive
 from .specfun import DEFAULT_CONSTANTS, PhysicalConstants
 
 
@@ -50,8 +53,7 @@ class Isotropic:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise DomainError("dimension must be 1, 2 or 3")
-        if self.kappa <= 0:
-            raise DomainError("kappa must be positive")
+        check_positive(self, "kappa")
 
     @property
     def dim(self) -> int:
@@ -85,10 +87,10 @@ class _Anisotropic:
     consts: PhysicalConstants = field(default=DEFAULT_CONSTANTS)
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.kappa_c < 0:
-            raise DomainError("kappa must be positive and kappa_c nonnegative")
-        if self.omega1 <= 0 or self.omega_perp <= 0:
-            raise DomainError("frequencies must be positive")
+        check_positive(self, "kappa", "omega1", "omega_perp")
+        if not self.kappa_c >= 0:
+            raise DomainError(
+                f"kappa_c must be nonnegative, not {self.kappa_c!r}")
         # kappa_abs is the cube root of the product of the kappa_j
         k = self.kappas
         if min(*k, k[0] * k[1] * k[2]) < sys.float_info.min:
@@ -120,8 +122,13 @@ class Quasi1D(_Anisotropic):
     """Longitudinal frequency exponentially softer than the transverse ones."""
 
     @property
+    def suppression(self) -> float:
+        """kappa_c^2/kappa^2: kappa_1 = kappa e^{-suppression}."""
+        return self.kappa_c**2 / self.kappa**2
+
+    @property
     def kappas(self) -> tuple[float, ...]:
-        k1 = self.kappa * math.exp(-self.kappa_c**2 / self.kappa**2)
+        k1 = self.kappa * math.exp(-self.suppression)
         return (k1, self.kappa, self.kappa)
 
 
@@ -130,8 +137,13 @@ class Quasi2D(_Anisotropic):
     """Transverse frequencies exponentially softer than the longitudinal one."""
 
     @property
+    def suppression(self) -> float:
+        """sqrt(kappa_c/kappa): kappa_perp = kappa e^{-suppression}."""
+        return math.sqrt(self.kappa_c / self.kappa)
+
+    @property
     def kappas(self) -> tuple[float, ...]:
-        kp = self.kappa * math.exp(-math.sqrt(self.kappa_c / self.kappa))
+        kp = self.kappa * math.exp(-self.suppression)
         return (self.kappa, kp, kp)
 
 
@@ -141,6 +153,16 @@ TrapModel = Isotropic | Quasi1D | Quasi2D
 def axis_omega_kappa(trap: TrapModel) -> np.ndarray:
     """Per-axis products omega_j * kappa_j."""
     return np.array([w * k for w, k in zip(trap.omegas, trap.kappas)])
+
+
+def axis_rates(beta: float, trap: TrapModel) -> np.ndarray:
+    """Per-axis loop decay rates a_j = (beta hbar) omega_j kappa_j."""
+    return beta * trap.consts.hbar * axis_omega_kappa(trap)
+
+
+def axis_inverse_lengths(trap: TrapModel) -> np.ndarray:
+    """Per-axis inverse square lengths c_j = (m/hbar) omega_j kappa_j."""
+    return trap.consts.mass / trap.consts.hbar * axis_omega_kappa(trap)
 
 
 def ground_energy(trap: TrapModel) -> float:
@@ -194,11 +216,20 @@ def mehler_kernel_1d(x: float, y: float, t: float, omega_kappa: float,
 
 
 def _check_points(x, y, trap: TrapModel):
+    """x and y as arrays of the trap's dimension.  Raises DomainError unless
+    c_j (|x_j| + |y_j|)^2 < 1e300 on every axis (c_j of
+    `axis_inverse_lengths`): then no kernel exponent c (x -+ y)^2, c x y or
+    c (x^2 + y^2), nor a sum of them over the axes, overflows."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if x.shape != (trap.dim,) or y.shape != (trap.dim,):
         raise DimensionMismatch(
             f"points of dimension {x.shape}/{y.shape} for a {trap.dim}-dimensional trap")
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = axis_inverse_lengths(trap) * (np.abs(x) + np.abs(y)) ** 2
+    if not (reach < 1e300).all():
+        raise DomainError(f"points x={x.tolist()} and y={y.tolist()} lie "
+                          "beyond the float range of the kernel exponents")
     return x, y
 
 
@@ -240,13 +271,20 @@ def log_ground_state_product(x, y, trap: TrapModel) -> float:
     """log of the ground-state dyad Psi0(x) Psi0(y); finite even where the
     dyad itself underflows (far in the Gaussian tail)."""
     x, y = _check_points(x, y, trap)
-    wk = axis_omega_kappa(trap)
-    c = trap.consts.mass * wk / trap.consts.hbar
+    c = axis_inverse_lengths(trap)
     return 0.5 * float(np.sum(np.log(c / math.pi))) \
         - 0.5 * float(np.sum(c * (x * x + y * y)))
 
 
 def ground_state_product(x, y, trap: TrapModel) -> float:
     """Ground-state dyad Psi0(x) Psi0(y) = prod_j (c_j/pi)^(1/2)
-    exp(-c_j (x_j^2+y_j^2)/2) with c_j = m omega_j kappa_j / hbar."""
-    return math.exp(log_ground_state_product(x, y, trap))
+    exp(-c_j (x_j^2+y_j^2)/2) with c_j = `axis_inverse_lengths`; raises
+    DomainError where the dyad overflows."""
+    log_dyad = log_ground_state_product(x, y, trap)
+    try:
+        return math.exp(log_dyad)
+    except OverflowError:
+        raise DomainError(
+            f"the ground-state dyad at mass={trap.consts.mass!r}, "
+            f"hbar={trap.consts.hbar!r} and kappa={trap.kappa!r} lies "
+            "beyond the float range") from None

@@ -43,9 +43,9 @@ import numpy as np
 from . import specfun
 from .errors import (DomainError, ModelError, OriginError, RegimeError,
                      TruncationWarning)
-from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, _check_points,
-                      axis_omega_kappa, ground_state_product,
-                      log_ground_state_product)
+from .kernels import (Isotropic, Quasi2D, TrapModel, _check_points,
+                      axis_inverse_lengths, axis_omega_kappa, axis_rates,
+                      ground_state_product, log_ground_state_product)
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, _geometric_series, _series, de_broglie,
                       hermite_eigen_table, polylog)
@@ -57,13 +57,12 @@ _CRAMER = 1.0865
 
 
 def _kernel_axes(x, y, beta: float, trap: TrapModel) -> list:
-    """Per axis the floats (a, q, s) of `_delta_exponent`: the rate
-    a = beta hbar omega kappa, q = 2 c x y and s = c (x-y)^2, with
-    c = m omega kappa / hbar; q is formed from x y itself."""
+    """Per axis the floats (a, q, s) of `_delta_exponent`: the rate a of
+    `axis_rates`, q = 2 c x y and s = c (x-y)^2 with c of
+    `axis_inverse_lengths`; q is formed from x y itself."""
     x, y = _check_points(x, y, trap)
-    wk = axis_omega_kappa(trap)
-    c = trap.consts.mass * wk / trap.consts.hbar
-    return list(zip((beta * (trap.consts.hbar * wk)).tolist(),
+    c = axis_inverse_lengths(trap)
+    return list(zip(axis_rates(beta, trap).tolist(),
                     (2.0 * c * (x * y)).tolist(), (c * (x - y) ** 2).tolist()))
 
 
@@ -251,24 +250,22 @@ def rdm_eigen(x, y, eq: Equilibrium, s_max: int = 200) -> float:
     xv, yv = _check_points(x, y, trap)
     w0 = beta * eq.gap
     consts = trap.consts
-    wk = axis_omega_kappa(trap)
-    hw = consts.hbar * wk
-    a = beta * hw
-    c = consts.mass * wk / consts.hbar  # as in `_kernel_axes`
+    a = axis_rates(beta, trap)
+    kappa_eff = axis_omega_kappa(trap) / consts.omega0
 
     # axis j of the trap is axis j of the (s_max + 1)^d grid
     s = np.arange(0, s_max + 1, dtype=float)
     excite, p = 0.0, 1.0
     for j in range(trap.dim):
         shape = [-1 if i == j else 1 for i in range(trap.dim)]
-        kappa_eff = hw[j] / (consts.hbar * consts.omega0)
-        px = hermite_eigen_table(s_max, float(xv[j]), kappa_eff, consts)
-        py = hermite_eigen_table(s_max, float(yv[j]), kappa_eff, consts)
+        px = hermite_eigen_table(s_max, float(xv[j]), kappa_eff[j], consts)
+        py = hermite_eigen_table(s_max, float(yv[j]), kappa_eff[j], consts)
         excite = excite + a[j] * s.reshape(shape)
         p = p * (px * py).reshape(shape)
     val = float(np.sum(p * bose(w0 + excite)))
 
-    sup = _CRAMER**2 / math.sqrt(math.pi) * float(np.prod(np.sqrt(c)))
+    sup = _CRAMER**2 / math.sqrt(math.pi) \
+        * float(np.prod(np.sqrt(axis_inverse_lengths(trap))))
     a_min = float(np.min(a))
     tail_bound = sup * trap.dim * float(bose(w0 + a_min * (s_max + 1))) \
         / float(np.prod(-np.expm1(-a)))
@@ -291,32 +288,18 @@ class LoopDecomposition:
 
 
 def _window_cutoffs(trap: TrapModel, ctl: SeriesControl,
-                    chi: float) -> tuple[int, int | float, int]:
-    """Short cutoff N = floor(kappa^-sigma), upper cutoff
-    M = max(N, floor(kappa^-sigma2 e^{chi s})), s = kappa_c^2/kappa^2
-    (Quasi1D) or sqrt(kappa_c/kappa) (Quasi2D), and the quasi-2D split point
-    S = max(N, floor(kappa^-sigma2 / kappa_perp)) of `aniso.q2d_chi_split`.
-
-    M is an integer, or math.inf once it exceeds 2^62; isotropic traps have
-    M = N, and S = N except for Quasi2D.  The macroscopic cutoff is chi = 1
-    (Quasi1D) or 2 (Quasi2D).
-    """
+                    chi: float) -> tuple[int, int | float]:
+    """Short cutoff N = floor(kappa^-sigma) and upper cutoff
+    M = max(N, floor(kappa^-sigma2 e^{chi s})), s the model's `suppression`:
+    an integer, or math.inf once beyond 2^62, and M = N for isotropic traps.
+    The macroscopic cutoff is chi = 1 (Quasi1D) or 2 (Quasi2D)."""
     n_short = int(math.floor(trap.kappa ** (-ctl.sigma)))
     if isinstance(trap, Isotropic):
-        return n_short, n_short, n_short
-    split = n_short
-    if isinstance(trap, Quasi1D):
-        log_m = chi * (trap.kappa_c**2 / trap.kappa**2)
-    elif isinstance(trap, Quasi2D):
-        log_m = chi * math.sqrt(trap.kappa_c / trap.kappa)
-        split = max(int(math.floor(trap.kappa ** (-ctl.sigma2)
-                                   / trap.kappas[1])), n_short)
-    else:  # pragma: no cover
-        raise ModelError("unsupported trap model")
-    log_m -= ctl.sigma2 * math.log(trap.kappa)
+        return n_short, n_short
+    log_m = chi * trap.suppression - ctl.sigma2 * math.log(trap.kappa)
     if log_m >= 62.0 * math.log(2.0):
-        return n_short, math.inf, split
-    return n_short, max(math.floor(math.exp(log_m)), n_short), split
+        return n_short, math.inf
+    return n_short, max(math.floor(math.exp(log_m)), n_short)
 
 
 def loop_decompose(x, y, eq: Equilibrium) -> LoopDecomposition:
@@ -334,7 +317,7 @@ def loop_decompose(x, y, eq: Equilibrium) -> LoopDecomposition:
         raise DomainError("sigma must be positive")
     w0 = eq.beta * eq.gap
     dyad = ground_state_product(x, y, trap)
-    n_short, m_macro, _ = _window_cutoffs(
+    n_short, m_macro = _window_cutoffs(
         trap, ctl, 2.0 if isinstance(trap, Quasi2D) else 1.0)
     cuts = [0, n_short, m_macro, math.inf]
     short_sum, meso_sum, macro_sum = (

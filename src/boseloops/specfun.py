@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import DomainError, TruncationWarning
+from .errors import DomainError, TruncationWarning, check_positive
 
 # longest direct stretch of every loop-length sum and of every g-BEC band
 # row.  A sum that fits in it is summed directly: a tail (`_em_sum`'s
@@ -64,8 +64,7 @@ class PhysicalConstants:
     omega0: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0 or self.omega0 <= 0:
-            raise DomainError("physical constants must be strictly positive")
+        check_positive(self, "hbar", "mass", "omega0")
 
 
 @dataclass(frozen=True)
@@ -86,8 +85,11 @@ class SeriesControl:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise DomainError("tolerances must be positive")
+        check_positive(self, "rel_tol")
+        for name in ("sigma", "sigma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, not "
+                                  f"{getattr(self, name)!r}")
 
 
 DEFAULT_CONTROL = SeriesControl()

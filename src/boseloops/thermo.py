@@ -58,9 +58,9 @@ import numpy as np
 
 from . import specfun
 from .errors import (BracketError, DomainError, ModelError, RegimeError,
-                     TruncationWarning)
-from .kernels import (Isotropic, Quasi1D, Quasi2D, TrapModel, axis_omega_kappa,
-                      eigenvalue, ground_energy)
+                     TruncationWarning, check_positive)
+from .kernels import (Isotropic, Quasi1D, TrapModel, axis_rates, eigenvalue,
+                      ground_energy)
 from .specfun import (DEFAULT_CONTROL, PhysicalConstants, SeriesControl,
                       polylog)
 
@@ -123,13 +123,7 @@ class CanonicalTarget:
     nu: float
 
     def __post_init__(self):
-        if self.beta <= 0 or self.nu <= 0:
-            raise DomainError("beta and nu must be positive")
-
-
-def _axis_rates(beta: float, trap: TrapModel) -> np.ndarray:
-    """Per-axis loop decay rates a_j = beta * hbar * omega_j * kappa_j."""
-    return beta * trap.consts.hbar * axis_omega_kappa(trap)
+        check_positive(self, "beta", "nu")
 
 
 def _split_axes(a: np.ndarray, ln_fac: float, rel_tol: float):
@@ -232,7 +226,7 @@ class _LoopProduct:
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
-        self.a = _axis_rates(beta, trap)
+        self.a = axis_rates(beta, trap)
         rates = self.a.tolist()
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
@@ -370,7 +364,7 @@ def nu_eigen_sum(eq: Equilibrium, n_max: int = 400) -> float:
     (geometric with per-axis ratio e^{-a_j n_max}).
     """
     trap = eq.trap
-    a = _axis_rates(eq.beta, trap)
+    a = axis_rates(eq.beta, trap)
     w0 = eq.beta * eq.gap
     if isinstance(trap, Isotropic):
         n = np.arange(0, n_max + 1, dtype=float)
@@ -421,11 +415,20 @@ def nu_critical(beta: float, d: int,
     else; it takes no series control (zeta is summed to half an ulp)."""
     if d not in (1, 2, 3):
         raise DomainError("d must be 1, 2 or 3")
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    if not beta > 0:
+        raise DomainError(f"beta must be positive, not {beta!r}")
     if d == 1:
         return math.inf
-    return polylog(float(d), 1.0) / (consts.hbar * consts.omega0 * beta) ** d
+    try:
+        nu_c = polylog(float(d), 1.0) \
+            / (consts.hbar * consts.omega0 * beta) ** d
+    except ArithmeticError:  # the power overflowed, or underflowed to 0
+        nu_c = math.inf
+    if not 0.0 < nu_c < math.inf:
+        raise DomainError(f"nu_c at beta={beta!r}, hbar={consts.hbar!r} and "
+                          f"omega0={consts.omega0!r} lies beyond the float "
+                          "range")
+    return nu_c
 
 
 def _nu_critical_trap(beta: float, trap: TrapModel) -> float:
@@ -544,8 +547,7 @@ class Equilibrium:
     gap: float
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError("beta must be positive")
+        check_positive(self, "beta")
         if not self.gap > 0.0:
             raise DomainError("the gap E0 - mu must be positive")
 
@@ -557,15 +559,13 @@ class Equilibrium:
 
 
 def occupation(eq: Equilibrium, s) -> float:
-    """Occupation |kappa|^d / (e^{beta(E_s - mu)} - 1) at the solved mu."""
+    """Occupation |kappa|^d / (e^{beta Delta + sum_j a_j s_j} - 1) of mode s."""
     trap = eq.trap
     s = tuple(int(v) for v in s)
     if len(s) != trap.dim or any(v < 0 for v in s):
         eigenvalue(trap, s)  # delegate the error reporting
-    wk = axis_omega_kappa(trap)
-    excite = trap.consts.hbar * float(np.dot(wk, np.asarray(s, dtype=float)))
-    w = eq.beta * (eq.gap + excite)
-    return trap.kappa_abs ** trap.dim * float(bose(w))
+    excite = float(np.dot(axis_rates(eq.beta, trap), np.asarray(s, float)))
+    return trap.kappa_abs ** trap.dim * float(bose(eq.beta * eq.gap + excite))
 
 
 def _band_series(u0: float, a: float, n0: int, n1: int, weight,
@@ -593,7 +593,7 @@ def gbec_band_sum(eq: Equilibrium, epsilon: float) -> float:
     if not (0.0 < epsilon <= 1.0):
         raise DomainError("epsilon must lie in (0, 1]")
     trap, rel_tol = eq.trap, eq.ctl.rel_tol
-    axes = zip(trap.kappas, _axis_rates(eq.beta, trap).tolist())
+    axes = zip(trap.kappas, axis_rates(eq.beta, trap).tolist())
     runs = [(k_j, a_j, len(list(g))) for (k_j, a_j), g in groupby(axes)]
     if len(runs) > 2:
         raise ModelError("gbec_band_sum takes at most two runs of equal axes")
@@ -672,18 +672,20 @@ def gap_asymptotic(target: CanonicalTarget, trap: TrapModel,
         return -mu_open_trap(beta, nu, trap.dim,
                              replace(trap.consts, omega0=trap.omega0), ctl=ctl)
     if isinstance(trap, Isotropic):
-        return trap.kappa ** trap.d / (beta * (nu - nu_c))
+        try:
+            return trap.kappa ** trap.d / (beta * (nu - nu_c))
+        except OverflowError:
+            raise DomainError(f"kappa^d at kappa={trap.kappa!r} lies beyond "
+                              "the float range") from None
+    # quasi-2D above nu_c, quasi-1D above nu_m
+    nu_star = nu_c
     if isinstance(trap, Quasi1D):
-        numm = nu_m(beta, trap)
-        side = critical_side(nu, numm)
+        nu_star = nu_m(beta, trap)
+        side = critical_side(nu, nu_star)
         if side == 0:
             raise RegimeError("nu within the critical band of nu_m")
         if side < 0:
             return math.exp(-trap.consts.hbar * trap.omega1 * beta
                             * (nu - nu_c) / trap.kappa**2) / beta
-        k1, kp, _ = trap.kappas
-        return k1 * kp**2 / (beta * (nu - numm))
-    if isinstance(trap, Quasi2D):
-        k1, kp, _ = trap.kappas
-        return k1 * kp**2 / (beta * (nu - nu_c))
-    raise ModelError("unsupported trap model")  # pragma: no cover
+    k1, kp, _ = trap.kappas
+    return k1 * kp**2 / (beta * (nu - nu_star))

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boseloops.kernels import (Isotropic, Quasi1D, _coth, _log_sinh,
+from boseloops.aniso import additional_q2d, meso_q1d, q2d_chi_split
+from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, _coth, _log_sinh,
                                mehler_kernel_1d)
-from boseloops.rdm import loop_decompose, rdm_loops
-from boseloops.specfun import polylog
-from boseloops.thermo import (CanonicalTarget, Equilibrium, bose, log1mexp,
-                              nu_rescaled)
+from boseloops.rdm import loop_decompose, rdm_columns, rdm_loops
+from boseloops.specfun import DEFAULT_CONTROL, PhysicalConstants, polylog
+from boseloops.thermo import (CanonicalTarget, Equilibrium, bose,
+                              gbec_band_sum, log1mexp, nu_rescaled,
+                              occupation)
 
 RNG = np.random.default_rng(20260824)
 X_SAMPLE = RNG.uniform(0.0, 100.0, size=10_000)
@@ -122,3 +124,54 @@ class TestHypothesisProperties:
         dec = loop_decompose(np.zeros(3), np.zeros(3),
                              Equilibrium.solve(CanonicalTarget(1.0, nu), trap))
         assert dec.short_sum + dec.meso_sum + dec.macro_sum == dec.total
+
+
+def _loop_observables(eq):
+    """Every loop-engine result of eq at one off-diagonal pair, the
+    model-specific windows included; Omega is left out, since its division
+    by beta adds a rounding of its own, and so is `ChiSplit.predicted_half`,
+    a closed form in the thermal wavelength."""
+    x, y = np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0])
+    out = {"nu_rescaled": nu_rescaled(eq),
+           "occupation": occupation(eq, (1, 2, 0)),
+           "gbec_band_sum": gbec_band_sum(eq, 0.05),
+           "rdm_columns": rdm_columns(x, y, eq),
+           "loop_decompose": loop_decompose(x, y, eq)}
+    if isinstance(eq.trap, Quasi1D):
+        out["meso_q1d"] = meso_q1d(x, y, eq)
+    if isinstance(eq.trap, Quasi2D):
+        split = q2d_chi_split(x, y, eq)
+        out["additional_q2d"] = additional_q2d(x, y, eq)
+        out["q2d_chi_split"] = (split.first_half, split.second_half)
+    return out
+
+
+# hbar = m = h at beta = 1/h, kept where beta hbar = 1 and beta (h Delta) =
+# Delta hold exactly, so that the twin's a_j, c_j and beta gap are the
+# natural-units floats
+_TWINS = [(h, delta) for h in (3.0, 5.0, 0.7, 1.3) for delta in (1e-6, 3e-3)
+          if (1.0 / h) * h == 1.0 and (1.0 / h) * (h * delta) == delta]
+
+
+class TestUnitTwins:
+    """A loop series depends on hbar and m only through beta hbar and
+    m/hbar (the per-axis scales of `kernels.axis_rates` and
+    `kernels.axis_inverse_lengths`), so a twin in other units whose scales
+    are the same floats gives the natural-units results to the bit."""
+
+    @pytest.mark.parametrize("make", [
+        lambda c: Isotropic(3, 1e-3, c), lambda c: Isotropic(3, 0.37, c),
+        lambda c: Quasi1D(0.3, 1.0, consts=c),
+        lambda c: Quasi2D(0.01, 1.0, consts=c),
+        lambda c: Quasi2D(0.03, 1.0, consts=c)],
+        ids=["iso-1e-3", "iso-0.37", "q1d-0.3", "q2d-0.01", "q2d-0.03"])
+    @pytest.mark.parametrize("h,delta", _TWINS)
+    def test_bit_identical_to_natural_units(self, make, h, delta):
+        natural = Equilibrium(1.0, make(PhysicalConstants()),
+                              DEFAULT_CONTROL, delta)
+        twin = Equilibrium(1.0 / h, make(PhysicalConstants(hbar=h, mass=h)),
+                           DEFAULT_CONTROL, h * delta)
+        assert _loop_observables(twin) == _loop_observables(natural)
+
+    def test_every_case_kept(self):
+        assert len(_TWINS) == 8
