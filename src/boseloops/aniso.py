@@ -128,12 +128,12 @@ def q2d_additional_limit(beta: float, trap: Quasi2D) -> float:
     tends to sqrt(m omega_c / (pi hbar)) / lambda^2.  The printed factor 2
     would need the slow axes to stay unrelaxed up to chi = 2, i.e.
     kappa_perp = kappa e^{-2 sqrt(kappa_c/kappa)}; which side is meant is
-    not settled.
+    not settled.  It is formed from m/hbar and beta hbar, as loop sums are.
     """
+    m_hbar = trap.consts.mass / trap.consts.hbar
     omega_c = trap.omega1 * trap.kappa_c
-    lam = de_broglie(beta, trap.consts)
-    return 2.0 * math.sqrt(trap.consts.mass * omega_c
-                           / (math.pi * trap.consts.hbar)) / lam**2
+    return 2.0 * math.sqrt(m_hbar * omega_c / math.pi) * m_hbar \
+        / (2.0 * math.pi * (beta * trap.consts.hbar))
 
 
 def additional_q2d(x, y, eq: Equilibrium, chi: float = 2.0) -> float:

@@ -267,13 +267,17 @@ def semigroup_trace(t: float, trap: TrapModel) -> float:
     return float(np.exp(log_semigroup_trace(t, trap)))
 
 
+def _log_dyad(x: np.ndarray, y: np.ndarray, c: np.ndarray) -> float:
+    """log Psi0(x) Psi0(y) at checked points, c of `axis_inverse_lengths`."""
+    return 0.5 * float(np.sum(np.log(c / math.pi))) \
+        - 0.5 * float(np.sum(c * (x * x + y * y)))
+
+
 def log_ground_state_product(x, y, trap: TrapModel) -> float:
     """log of the ground-state dyad Psi0(x) Psi0(y); finite even where the
     dyad itself underflows (far in the Gaussian tail)."""
     x, y = _check_points(x, y, trap)
-    c = axis_inverse_lengths(trap)
-    return 0.5 * float(np.sum(np.log(c / math.pi))) \
-        - 0.5 * float(np.sum(c * (x * x + y * y)))
+    return _log_dyad(x, y, axis_inverse_lengths(trap))
 
 
 def ground_state_product(x, y, trap: TrapModel) -> float:

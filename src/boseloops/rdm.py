@@ -44,8 +44,8 @@ from . import specfun
 from .errors import (DomainError, ModelError, OriginError, RegimeError,
                      TruncationWarning)
 from .kernels import (Isotropic, Quasi2D, TrapModel, _check_points,
-                      axis_inverse_lengths, axis_omega_kappa, axis_rates,
-                      ground_state_product, log_ground_state_product)
+                      _log_dyad, axis_inverse_lengths, axis_omega_kappa,
+                      axis_rates, ground_state_product)
 from .specfun import (DEFAULT_CONSTANTS, DEFAULT_CONTROL, PhysicalConstants,
                       SeriesControl, _geometric_series, _series, de_broglie,
                       hermite_eigen_table, polylog)
@@ -56,14 +56,15 @@ from .thermo import (_NORMAL_EXP, CanonicalTarget, Equilibrium,
 _CRAMER = 1.0865
 
 
-def _kernel_axes(x, y, beta: float, trap: TrapModel) -> list:
+def _kernel_axes(x, y, beta: float, trap: TrapModel) -> tuple[list, float]:
     """Per axis the floats (a, q, s) of `_delta_exponent`: the rate a of
-    `axis_rates`, q = 2 c x y and s = c (x-y)^2 with c of
-    `axis_inverse_lengths`; q is formed from x y itself."""
+    `axis_rates`, q = 2 c x y (from x y itself) and s = c (x-y)^2 with c of
+    `axis_inverse_lengths`; and log Psi0(x) Psi0(y) from the same c."""
     x, y = _check_points(x, y, trap)
     c = axis_inverse_lengths(trap)
     return list(zip(axis_rates(beta, trap).tolist(),
-                    (2.0 * c * (x * y)).tolist(), (c * (x - y) ** 2).tolist()))
+                    (2.0 * c * (x * y)).tolist(),
+                    (c * (x - y) ** 2).tolist())), _log_dyad(x, y, c)
 
 
 def _delta_exponent(l, axes):
@@ -178,8 +179,7 @@ def _noncond_windows(x, y, eq: Equilibrium, cuts) -> list[float]:
     if cuts[0] < 0:
         raise DomainError("loop lengths start at 1")
     beta, trap, ctl = eq.beta, eq.trap, eq.ctl
-    axes = _kernel_axes(x, y, beta, trap)
-    log_dyad = log_ground_state_product(x, y, trap)
+    axes, log_dyad = _kernel_axes(x, y, beta, trap)
     w0 = beta * eq.gap
     l_star = _relax_length(axes, ctl.rel_tol)
     # headroom covers the (logarithmically growing) subtracted exponent

@@ -22,10 +22,11 @@ all l).  When every axis has relaxed by L (P_l within tolerance of 1), that
 is all.  Otherwise, as for the slow axes of the anisotropic models and of
 small-kappa isotropic traps, the P_l - 1 part beyond L is an endpoint
 Euler-Maclaurin tail whose integral is a fixed composite Gauss-Legendre
-rule in log l: `_LoopProduct` tabulates P_l - 1 at its nodes once, with the
-build, so each trial gap's tail, for nu (weight 1) and Omega (weight 1/l)
-alike, is one vectorised exponential and two weighted sums: the 16-point
-rule on every panel, and the 8-point rule, whose difference from it, plus
+rule in log l.  `_LoopProduct` builds one table of loop-length columns
+(the stretch, the endpoint lengths L + 1, L + 2 and the rule's nodes) with
+log P_l and weight rows per series, so each trial gap, for nu (weight 1)
+and Omega (weight 1/l) alike, is one vectorised exponential and a few
+weighted sums; the 8-point rule's difference from the 16-point one, plus
 the endpoint remainder, is the error estimate checked against rel_tol.  The
 summand decays like e^{-(w0 + a_min) l}, and the tail ends after
 2000 + |log scale| e-folds of that decay, so the rule never has to resolve
@@ -51,6 +52,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -199,30 +201,28 @@ def _log_product(rates, l: np.ndarray) -> np.ndarray:
 
 
 class _LoopProduct:
-    """Gap-independent part of the loop sums for one (beta, trap, ctl): the
-    direct length L, the slow axes, log P_l for l = 1..L and, with slow
-    axes, the tail's quadrature grid.
+    """Gap-independent part of the loop sums for one (beta, trap, ctl),
+    built once per gap solve: the direct length L, the slow axes and a table
+    of loop-length columns, the stretch l = 1..L and, with slow axes, L + 1,
+    L + 2 and the tail's nodes, with l, log P_l and weight rows per series.
+    A trial gap takes one exponential on the first `_columns` and sums it
+    times a row: e^{log_scale - l w0} P_l for nu (`sum_and_slope`),
+    e^{-l w0} for Omega (`log_partition`, whose rows carry (P_l - 1)/l and
+    are built on its first call); each adds the P_l = 1 part beyond L.
 
-    `sum` (weight 1, for nu) and `log_partition` (weight 1/l, for Omega)
-    add the gap-dependent factor e^{-l w0}, the exact sum of the P_l = 1
-    part beyond L and, with slow axes, the `_tail` of P_l - 1, so a gap
-    solve builds P_l once for all its trial gaps.
-
-    The tail sum_{l>L} e^{log_scale - l w0} (P_l - 1) [/ l] is an endpoint
+    With slow axes the P_l - 1 part beyond L is an endpoint
     Euler-Maclaurin sum: the integral from L + 1 in v = log l plus
     f(L+1)/2 - (f(L+2) - f(L))/24 (central differences for f'(L + 1); the
     terms at the far end are below e^{-2000}).  The integral runs over
     unit-width panels in v, each with merged 16- and 8-point Gauss-Legendre
     nodes, from log(L + 1) to where every rate's term has left the normal
     floats (a_min l = `_NORMAL_EXP`, at most l = 1e306): beyond it
-    P_l - 1 is exactly 0.  The grid stores, at the three endpoint lengths
-    and at the nodes, l, log P over the axes whose term is still a normal
-    float at L + 1, and per series the two weight rows times (1 - 1/P_l),
-    with the endpoint coefficients in both rows and the nodes' Jacobian l
-    (nu) or the endpoints' 1/l (Omega) as factors, not in the exponent,
-    where they would add the rounding of a larger sum.  The build also
-    keeps log P and the factors 1 - 1/P_l, and (1 - 1/P_l)/l, at
-    l = L - 1 ... L + 2, from which `_tail` reads the endpoint remainder.
+    P_l - 1 is exactly 0.  `_rows` puts the endpoint coefficients at
+    L ... L + 2 and the 16-point weights at the nodes, with the P_l - 1
+    factor and the Jacobian l as factors, not in the exponent, where they
+    would add the rounding of a larger sum; its error rows give |G8 - G16|
+    and the endpoint remainder (11/720)|third difference of the summand over
+    L - 1 ... L + 2|, which `_check` compares with rel_tol.
     """
 
     def __init__(self, beta: float, trap: TrapModel, ctl: SeriesControl):
@@ -231,71 +231,65 @@ class _LoopProduct:
         self.rel_tol = ctl.rel_tol
         ln_fac = math.log(2.0 * trap.dim / ctl.rel_tol)
         self.big_l, self.slow = _split_axes(self.a, ln_fac, ctl.rel_tol)
-        self.l = np.arange(1, self.big_l + 1, dtype=float)
+        big_l = float(self.big_l)
+        self.l = np.arange(1.0, big_l + (3.0 if self.slow else 1.0))
         self.log_p = _log_product(rates, self.l)
         if self.slow:
-            self._build_tail(rates)
+            self._v1 = math.log(big_l + 1.0)
+            self._a_min = min(rates)
+            v_end = math.log(min(1e306, _NORMAL_EXP / self._a_min))
+            self._panels = math.ceil(v_end - self._v1)
+            nodes = np.exp((self._v1 + np.arange(self._panels, dtype=float)
+                            [:, None] + _PANEL_NODES).ravel())
+            # `_log_product` takes ascending lengths: under a short stretch
+            # the first nodes lie below L + 2
+            node_log_p = _log_product(
+                [a_j for a_j in rates if a_j * nodes[0] < _NORMAL_EXP], nodes)
+            self.l = np.concatenate([self.l, nodes])
+            self.log_p = np.concatenate([self.log_p, node_log_p])
+            # nu's terms carry P_l, so its P_l - 1 factor is 1 - 1/P_l
+            self._nu = self._rows(-np.expm1(-self.log_p[self.big_l - 2:]), 1.0)
 
-    def _build_tail(self, rates: list):
-        big_l = float(self.big_l)
-        self._v1 = math.log(big_l + 1.0)
-        self._a_min = min(rates)
-        v_end = math.log(min(1e306, _NORMAL_EXP / self._a_min))
-        self._panels = math.ceil(v_end - self._v1)
-        v = (self._v1 + np.arange(self._panels, dtype=float)[:, None]
-             + _PANEL_NODES).ravel()
-        ends = np.array([big_l, big_l + 1.0, big_l + 2.0])
-        nodes = np.exp(v)
-        self._tail_l = np.concatenate([ends, nodes])
-        # `_log_product` takes ascending lengths: the endpoint lengths and
-        # the nodes each are, but under a short stretch the first nodes lie
-        # below L + 2
-        fast = [a_j for a_j in rates if a_j * (big_l + 1.0) < _NORMAL_EXP]
-        self._tail_log_p = np.concatenate([_log_product(fast, ends),
-                                           _log_product(fast, nodes)])
-        end_l = big_l + np.arange(-1.0, 3.0)
-        end_log_p = np.concatenate([self.log_p[-2:-1], self._tail_log_p[:3]])
-        end_fac = -np.expm1(-end_log_p)
-        self._end = (end_l, end_log_p, np.stack([end_fac, end_fac / end_l]))
-        # rows (16-point, 8-point), the endpoint coefficients in both; each
-        # row is contiguous, so its sum over the nodes is numpy's pairwise
-        # sum
-        w = np.hstack([np.repeat([[1.0 / 24.0, 0.5, -1.0 / 24.0]], 2, axis=0),
-                       np.tile(_PANEL_WEIGHTS, self._panels)])
-        w *= -np.expm1(-self._tail_log_p)
-        # per_loop False (nu): the nodes' Jacobian l; True (Omega): 1/l at
-        # the endpoints, where no Jacobian cancels it
-        self._tail_w = np.stack([
-            w * np.concatenate([np.ones(3), self._tail_l[3:]]),
-            w / np.concatenate([ends, np.ones(v.size)])])
+    def _rows(self, fac: np.ndarray, stretch):
+        """One series' row, stretch on l = 1..L, and with slow axes its G8 -
+        G16 row at the nodes and its third-difference row over L - 1 ...
+        L + 2, for the P_l - 1 factor fac of its terms from L - 1 on."""
+        big_l, row = self.big_l, np.zeros(self.l.size)
+        row[:big_l] = stretch
+        if not self.slow:
+            return row, None, None
+        row[big_l - 1:big_l + 2] += np.array([1.0 / 24.0, 0.5, -1.0 / 24.0]) \
+            * fac[1:4]
+        w16, w8 = np.tile(_PANEL_WEIGHTS, self._panels)
+        node_fac = fac[4:] * self.l[big_l + 2:]
+        row[big_l + 2:] = w16 * node_fac
+        return row, (w8 - w16) * node_fac, \
+            np.array([-1.0, 3.0, -3.0, 1.0]) * fac[:4]
 
-    def _tail(self, w0: float, log_scale: float, per_loop: bool,
-              total: float):
-        """sum_{l>L} e^{log_scale - l w0} (P_l - 1), times 1/l if per_loop,
-        on the grid's panels up to l_max: one exponential and the pairwise
-        sums of both weighted rows.  The summand decays like
-        e^{-(w0 + a_min) l}, and l_max is where it has taken
-        2000 + |log_scale| e-folds of that decay.  The error estimate is
-        |G8 - G16| plus the endpoint remainder (11/720)|third difference of
-        the summand over L - 1 ... L + 2|; a TruncationWarning carries it
-        when it exceeds rel_tol of |total + the tail|, total being the sum
-        so far.  Returns G16 and its terms with their loop lengths l, so
-        that an l-weighted sum can reuse them."""
+    @cached_property
+    def _omega(self):
+        """Omega's rows, on (P_l - 1)/l (+inf where it overflows)."""
+        with np.errstate(over="ignore"):
+            fac = np.expm1(self.log_p) / self.l
+        return self._rows(fac[self.big_l - 2:], fac[:self.big_l])
+
+    def _columns(self, w0: float, log_scale: float) -> int:
+        """The columns a trial gap takes: with slow axes, the tail's panels
+        only up to l_max = (2000 + |log_scale|) / (w0 + a_min)."""
+        if not self.slow:
+            return self.l.size
         l_max = min(1e306, (2000.0 + abs(log_scale)) / (w0 + self._a_min))
-        n = 3 + 24 * min(self._panels,
-                         max(0, math.ceil(math.log(l_max) - self._v1)))
-        l = self._tail_l[:n]
-        terms = self._tail_w[int(per_loop), :, :n] \
-            * np.exp(log_scale - w0 * l + self._tail_log_p[:n])
-        g16, g8 = np.sum(terms, axis=1).tolist()
-        end_l, end_log_p, end_fac = self._end
-        f_end = np.exp(log_scale - w0 * end_l + end_log_p) \
-            * end_fac[int(per_loop)]
-        err = abs(g8 - g16) \
-            + specfun._EM_REMAINDER * abs(float(np.diff(f_end, 3)[0]))
-        if err > self.rel_tol * abs(total + g16):
+        return self.big_l + 2 + 24 * min(
+            self._panels, max(0, math.ceil(math.log(l_max) - self._v1)))
+
+    def _check(self, rows, e: np.ndarray, total: float):
+        """Warn when the tail's error estimate on e exceeds rel_tol |total|."""
+        _, diff, d3 = rows
+        n = self.big_l + 2
+        err = abs(float(np.dot(diff[:e.size - n], e[n:]))) \
+            + specfun._EM_REMAINDER * abs(float(np.dot(d3, e[n - 4:n])))
+        if err > self.rel_tol * abs(total):
             warnings.warn(TruncationWarning(err))
-        return g16, terms[0], l
 
     def sum(self, w0: float, log_scale: float) -> float:
         """e^{log_scale} sum_{l>=1} e^{-l w0} P_l, by `sum_and_slope`."""
@@ -305,39 +299,41 @@ class _LoopProduct:
                       log_scale: float) -> tuple[float, float]:
         """The sum s = e^{log_scale} sum_{l>=1} e^{-l w0} P_l, and w0 S with
         S = e^{log_scale} sum_{l>=1} l e^{-l w0} P_l = -ds/dw0, so that
-        d log s / d log w0 = -w0 S / s.  s is the direct stretch, the
-        P_l = 1 part beyond L exactly (the ground-state occupation's
-        geometric series) and, with slow axes, the tail of P_l - 1.  w0 S
-        takes the same exponentials: the direct stretch's and the tail's
-        G16 terms summed a second time with weight w0 l (bounded by the
-        tail's 2000 + |log_scale| e-folds, so no product overflows), and
-        the geometric part's l-weighted sum in closed form.  S has no error
-        estimate: it only steers the Newton steps of `solve_gap`, whose
-        root the sign of s - nu fixes."""
-        e = np.exp(log_scale - self.l * w0 + self.log_p)
-        total = float(np.sum(e))
-        slope = w0 * float(np.dot(self.l, e))
+        d log s / d log w0 = -w0 S / s.  s sums nu's row (1 on every column
+        without slow axes) times the terms e^{log_scale - l w0} P_l, plus
+        the P_l = 1 part beyond L exactly (the ground-state occupation's
+        geometric series).  w0 S dots the same products with l, times w0 (a
+        row times l, made once, would overflow where the nodes pass
+        l = 1e154), and adds the geometric part's l-weighted sum in closed
+        form.  S has no error estimate: it only steers the Newton steps of
+        `solve_gap`, whose root the sign of s - nu fixes, and which take an
+        S beyond the floats (+inf) as no usable slope."""
+        m = self._columns(w0, log_scale)
+        l = self.l[:m]
+        e = np.exp(log_scale - w0 * l + self.log_p[:m])
+        terms = self._nu[0][:m] * e if self.slow else e
+        total = float(terms.sum())
+        slope = w0 * float(np.dot(terms, l))
         # with q = 1 - e^{-w0}: sum_{l>L} e^{-l w0} = g = e^{-(L+1) w0}/q
         # and sum_{l>L} l e^{-l w0} = g (L + 1 + e^{-w0}/q)
         q = -math.expm1(-w0)
         geo = math.exp(log_scale - (self.big_l + 1) * w0) / q
         total += geo
         slope += geo * w0 * (self.big_l + 1 + math.exp(-w0) / q)
-        if not self.slow:
-            return total, slope
-        tail, terms, l = self._tail(w0, log_scale, False, total)
-        return total + tail, slope + float(np.dot(terms, w0 * l))
+        if self.slow:
+            self._check(self._nu, e, total)
+        return total, slope
 
     def log_partition(self, w0: float) -> float:
         """sum_{l>=1} e^{-l w0} P_l / l: the P_l = 1 part exactly as
-        -log(1 - e^{-w0}), the P_l - 1 part over l <= L and, with slow axes,
-        the tail (with fast axes only, P_l - 1 < rel_tol / 2 beyond L)."""
-        l = self.l
-        total = float(np.sum(np.exp(-l * w0) * np.expm1(self.log_p) / l))
-        total += -float(log1mexp(w0))
-        if not self.slow:
-            return total
-        return total + self._tail(w0, 0.0, True, total)[0]
+        -log(1 - e^{-w0}), the P_l - 1 part by Omega's row (with fast axes
+        only, P_l - 1 < rel_tol / 2 beyond L)."""
+        m = self._columns(w0, 0.0)
+        e = np.exp(-w0 * self.l[:m])
+        total = float((self._omega[0][:m] * e).sum()) - float(log1mexp(w0))
+        if self.slow:
+            self._check(self._omega, e, total)
+        return total
 
 
 def nu_rescaled(eq: Equilibrium) -> float:
@@ -346,8 +342,8 @@ def nu_rescaled(eq: Equilibrium) -> float:
     Tr G(l beta) = e^{-E0 l beta} P_l, and nu is the ground-state
     occupation's geometric series (the P_l = 1 part, in closed form beyond
     the direct stretch) plus the loop sum of P_l - 1, whose slow-axis tail
-    is integrated by `_LoopProduct._tail`.  The scale factor is applied
-    inside the summation so that nu stays representable even when the
+    is the quadrature rule of `_LoopProduct`'s columns.  The scale factor is
+    applied inside the summation so that nu stays representable even when the
     slowest axis rate (and with it |kappa|^d) underflows any fixed
     floating-point window.
     """

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boseloops.aniso import additional_q2d, meso_q1d, q2d_chi_split
+from boseloops.aniso import (additional_q2d, meso_q1d, q2d_additional_limit,
+                             q2d_chi_split)
 from boseloops.kernels import (Isotropic, Quasi1D, Quasi2D, _coth, _log_sinh,
                                mehler_kernel_1d)
 from boseloops.rdm import loop_decompose, rdm_columns, rdm_loops
@@ -128,9 +129,9 @@ class TestHypothesisProperties:
 
 def _loop_observables(eq):
     """Every loop-engine result of eq at one off-diagonal pair, the
-    model-specific windows included; Omega is left out, since its division
-    by beta adds a rounding of its own, and so is `ChiSplit.predicted_half`,
-    a closed form in the thermal wavelength."""
+    model-specific windows and the quasi-2D closed-form limit included;
+    Omega is left out, since its division by beta adds a rounding of its
+    own."""
     x, y = np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.0])
     out = {"nu_rescaled": nu_rescaled(eq),
            "occupation": occupation(eq, (1, 2, 0)),
@@ -142,7 +143,9 @@ def _loop_observables(eq):
     if isinstance(eq.trap, Quasi2D):
         split = q2d_chi_split(x, y, eq)
         out["additional_q2d"] = additional_q2d(x, y, eq)
-        out["q2d_chi_split"] = (split.first_half, split.second_half)
+        out["q2d_chi_split"] = (split.first_half, split.second_half,
+                                split.predicted_half)
+        out["q2d_additional_limit"] = q2d_additional_limit(eq.beta, eq.trap)
     return out
 
 

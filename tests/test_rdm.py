@@ -204,7 +204,7 @@ class TestLoopDecomposition:
                   (np.array([1.0, 0.5, 0.0]), np.array([0.0, -0.3, 0.2])),
                   (deep, deep)]
         for x, y in points:
-            axes = _kernel_axes(x, y, eq.beta, trap)
+            axes = _kernel_axes(x, y, eq.beta, trap)[0]
             assert max(a for a, _, _ in axes) * loops[-1] >= 745.0
             summand, summand_float = _window_summands(
                 axes, eq.beta * eq.gap, log_ground_state_product(x, y, trap))
@@ -236,13 +236,34 @@ class TestLoopDecomposition:
         got = float(_delta_exponent(np.array([1.0]), axes)[0])
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
+    def test_points_checked_once_per_window_call(self, monkeypatch):
+        # `_noncond_windows` checks the points and forms c_j once for the
+        # kernel axes and the dyad, whose log is that of
+        # `log_ground_state_product` bit for bit
+        from boseloops import kernels, rdm
+        trap = Quasi2D(0.05, 1.0)
+        eq = _eq(trap, 2.0)
+        x, y = np.array([0.5, 0.2, 0.0]), np.array([0.1, 0.0, 0.3])
+        assert rdm._kernel_axes(x, y, eq.beta, trap)[1] \
+            == kernels.log_ground_state_product(x, y, trap)
+        calls = []
+        real = kernels._check_points
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(kernels, "_check_points", counted)
+        monkeypatch.setattr(rdm, "_check_points", counted)
+        sums = rdm._noncond_windows(x, y, eq, [0, 10, 1_000, math.inf])
+        assert len(calls) == 1 and len(sums) == 3
+
     def test_delta_exponent_evaluates_each_rate_once(self, monkeypatch):
         # the degenerate soft pair of a quasi-2D trap shares one evaluation
         from boseloops import rdm
         from boseloops.rdm import _delta_exponent, _kernel_axes
         trap = Quasi2D(0.005, 1.0)
         axes = _kernel_axes(np.array([1.0, 0.5, -0.4]),
-                            np.array([0.3, -0.2, 0.1]), 1.0, trap)
+                            np.array([0.3, -0.2, 0.1]), 1.0, trap)[0]
         assert axes[1][0] == axes[2][0] != axes[0][0]
         calls = []
         real = rdm.log1mexp
@@ -321,7 +342,7 @@ class TestLoopDecomposition:
                             lambda *args, **kw: (real(*args, **kw)[0], 0.0))
         with pytest.warns(TruncationWarning) as record:
             short = noncondensate(x, y, eq)
-        _, f = _window_summands(_kernel_axes(x, y, 1.0, trap),
+        _, f = _window_summands(_kernel_axes(x, y, 1.0, trap)[0],
                                 eq.beta * eq.gap,
                                 log_ground_state_product(x, y, trap))
         f3, f4, f5, f6 = (f(l) for l in (3.0, 4.0, 5.0, 6.0))
@@ -342,7 +363,7 @@ class TestLoopDecomposition:
         normal_exp = -math.log(sys.float_info.min)
         axes = _kernel_axes(np.array([1.0, 0.5, -0.4]),
                             np.array([0.3, -0.2, 0.1]), 1.0,
-                            Quasi2D(0.05, 1.0))
+                            Quasi2D(0.05, 1.0))[0]
         l = np.arange(1.0, 30_001.0)
         seen = []
         real = rdm.log1mexp

@@ -226,6 +226,14 @@ class TestLoopNumber:
                                                             rel=1e-8)
 
 
+def _outer_log_p(a, l):
+    """log P_l at the lengths l from all axes at once on the (axes x l)
+    grid, each term kept where it is a normal float."""
+    u = np.outer(a, l)
+    return -np.sum(np.where(u < NORMAL_EXP,
+                            log1mexp(np.minimum(u, NORMAL_EXP)), 0.0), axis=0)
+
+
 class TestLoopProduct:
     @staticmethod
     def _log1mexp_sizes(monkeypatch):
@@ -242,12 +250,14 @@ class TestLoopProduct:
                                       Isotropic(3, 0.01), Quasi1D(0.25, 1.0),
                                       Quasi2D(0.005, 1.0)])
     def test_axis_accumulation_matches_outer_product(self, trap):
-        # reference: all axes at once on the (axes x L) grid, summed over axes
+        # reference: all axes at once on the (axes x L) grid, summed over
+        # axes, on the columns of the direct stretch
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-        assert np.array_equal(prod.l, np.arange(1.0, prod.big_l + 1.0))
-        ref = -np.sum(log1mexp(np.minimum(np.outer(prod.a, prod.l), 745.0)),
+        l = prod.l[:prod.big_l]
+        assert np.array_equal(l, np.arange(1.0, prod.big_l + 1.0))
+        ref = -np.sum(log1mexp(np.minimum(np.outer(prod.a, l), 745.0)),
                       axis=0)
-        assert np.array_equal(prod.log_p, ref)
+        assert np.array_equal(prod.log_p[:prod.big_l], ref)
 
     def test_product_built_once_per_solve(self, monkeypatch):
         # P_l is gap-independent: one solve builds it once, one rate at a
@@ -263,9 +273,9 @@ class TestLoopProduct:
     def test_product_built_once_with_slow_axis(self, monkeypatch):
         # the stiff pair shares one evaluation, which ends where its term
         # leaves the normal floats, before the end of the direct stretch;
-        # the tail's grid takes the slow axis only, once on its three
-        # endpoint lengths and once on its nodes, and no trial gap
-        # evaluates a loop factor
+        # the slow axis is evaluated once on the stretch and its endpoint
+        # lengths L + 1, L + 2 and once on the tail's nodes, where the stiff
+        # pair takes none, and no trial gap evaluates a loop factor
         trap = Quasi1D(0.5, 1.2)
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
         assert prod.slow and prod.big_l == 1_636
@@ -277,11 +287,12 @@ class TestLoopProduct:
         assert n_stiff == 1_416
         assert stiff * n_stiff < NORMAL_EXP <= stiff * (n_stiff + 1)
         assert stiff * (prod.big_l + 1) >= NORMAL_EXP
-        n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
-        assert 0 < n_grid <= prod._tail_l.size
+        nodes = prod.l[prod.big_l + 2:]
+        n_grid = int(np.sum(prod.a[0] * nodes < NORMAL_EXP))
+        assert 0 < n_grid <= nodes.size
         sizes = self._log1mexp_sizes(monkeypatch)
         solve_gap(CanonicalTarget(1.0, 4.0), trap)
-        assert sizes == [1_636, n_stiff, 3, n_grid - 3]
+        assert sizes == [1_638, n_stiff, n_grid]
 
     @pytest.mark.parametrize("kappa", [0.4, 0.35, 0.3, 0.25])
     def test_product_build_takes_no_subnormal_term(self, kappa, monkeypatch):
@@ -294,21 +305,21 @@ class TestLoopProduct:
             seen.append(np.max(v))
             return real(v)
         monkeypatch.setattr(thermo, "log1mexp", recorded)
-        # (the slow and the stiff rate on the direct stretch and on the
-        # tail's endpoint lengths and nodes: the stiff term is still a
-        # normal float at L + 1)
+        # (the slow and the stiff rate on the direct stretch with its
+        # endpoint lengths, and on the tail's nodes: the stiff term is still
+        # a normal float at the first node)
         prod = thermo._LoopProduct(1.0, Quasi1D(kappa, 1.0), DEFAULT_CONTROL)
-        assert prod.a[1] * (prod.big_l + 1) < NORMAL_EXP
-        assert len(seen) == 6 and max(seen) < NORMAL_EXP
+        assert prod.a[1] * prod.l[prod.big_l + 2] < NORMAL_EXP
+        assert len(seen) == 4 and max(seen) < NORMAL_EXP
 
     def test_isotropic_product_is_one_evaluation(self, monkeypatch):
-        # one evaluation of the shared rate on the direct stretch, and one
-        # each on the tail's three endpoint lengths and on its nodes
+        # one evaluation of the shared rate on the direct stretch with its
+        # endpoint lengths L + 1, L + 2, and one on the tail's nodes
         sizes = self._log1mexp_sizes(monkeypatch)
         prod = thermo._LoopProduct(1.0, Isotropic(3, 1e-5), DEFAULT_CONTROL)
-        n_grid = int(np.sum(prod.a[0] * prod._tail_l < NORMAL_EXP))
+        n_grid = int(np.sum(prod.a[0] * prod.l[prod.big_l + 2:] < NORMAL_EXP))
         assert prod.big_l == 1_636
-        assert sizes == [1_636, 3, n_grid - 3]
+        assert sizes == [1_638, n_grid]
 
     def test_panel_rule_is_gauss_legendre(self):
         # on [0, 1] the 16-point row integrates t^k exactly for k < 32 and
@@ -328,55 +339,46 @@ class TestLoopProduct:
     @pytest.mark.parametrize("trap", [Quasi1D(0.5, 1.2), Quasi2D(0.01, 1.0),
                                       Isotropic(3, 1e-5)])
     def test_float_tail_matches_array_form(self, trap):
-        # the tail grid's log P against the outer-product form over the
-        # axes the tail keeps (those whose term is a normal float at L + 1;
-        # the quasi-1D stiff pair has left them), each term kept where it
-        # is a normal float: bit for bit, at the three endpoint lengths
-        # L, L + 1, L + 2 and at the ascending nodes
+        # log P on every column of the table against the outer-product form
+        # over the axes, each term kept where it is a normal float (the
+        # quasi-1D stiff pair has left them by L + 1): bit for bit, on the
+        # direct stretch, the endpoint lengths L + 1, L + 2 and the
+        # ascending nodes
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
-        l = prod._tail_l
-        assert np.array_equal(l[:3], prod.big_l + np.arange(3.0))
-        assert np.all(np.diff(l) > 0.0)
+        l, n = prod.l, prod.big_l + 2
+        assert np.array_equal(l[:n], np.arange(1.0, n + 1.0))
+        assert l[n] > prod.big_l + 1.0 and np.all(np.diff(l[n:]) > 0.0)
         start = prod.a * (prod.big_l + 1.0)
         keep = np.abs(log1mexp(start)) >= sys.float_info.min
         assert np.all(start[~keep] >= NORMAL_EXP)
         assert (~keep).any() == isinstance(trap, Quasi1D)
-        u = np.outer(prod.a[keep], l)
-        ref = -np.sum(np.where(u < NORMAL_EXP,
-                               log1mexp(np.minimum(u, NORMAL_EXP)), 0.0),
-                      axis=0)
-        assert np.array_equal(prod._tail_log_p, ref)
+        assert np.array_equal(prod.log_p, _outer_log_p(prod.a, l))
         # the panels end in the one whose end is the first past
         # a_min l = NORMAL_EXP (capped at l = 1e306), beyond which every
         # kept term has left the normal floats and P_l - 1 is 0
         v_end = math.log(min(1e306, NORMAL_EXP / prod.a.min()))
         last = prod._v1 + prod._panels
         assert last - 1.0 < v_end <= last
-        assert l.size == 3 + 24 * prod._panels
+        assert l.size == n + 24 * prod._panels
 
     def test_short_stretch_grid_is_taken_in_order(self):
         # under a loose rel_tol the stretch is shorter than the first node's
-        # distance from L + 1, so L + 2 lies above it: log P on the grid is
+        # distance from L + 1, so L + 2 lies above it: log P on the table is
         # still the outer-product form at each length, and nu agrees with
         # the default control's to the loose tolerance
         trap = Isotropic(3, 1e-5)
         loose = SeriesControl(rel_tol=1e-4)
         prod = thermo._LoopProduct(1.0, trap, loose)
-        l = prod._tail_l
         assert prod.slow and prod.big_l < 189
-        assert not np.all(np.diff(l) > 0.0)
-        u = np.outer(prod.a, l)
-        ref = -np.sum(np.where(u < NORMAL_EXP,
-                               log1mexp(np.minimum(u, NORMAL_EXP)), 0.0),
-                      axis=0)
-        assert np.array_equal(prod._tail_log_p, ref)
+        assert prod.l[prod.big_l + 2] < prod.big_l + 2.0
+        assert np.array_equal(prod.log_p, _outer_log_p(prod.a, prod.l))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nu = nu_rescaled(Equilibrium(1.0, trap, loose, 1e-9))
         assert nu == pytest.approx(nu_rescaled(_eq(trap, 1e-9)), rel=1e-4)
 
     def test_tail_quadrature_error_is_reported(self):
-        # the tail's estimate is |G8 - G16| of its two Gauss-Legendre rows
+        # the tail's estimate is |G8 - G16| of its two Gauss-Legendre rules
         # plus the endpoint remainder (11/720)|third difference of the
         # summand over L - 1 ... L + 2|; it meets the default rel_tol and
         # warns, carrying it, under a tolerance no double-precision sum can
@@ -389,22 +391,39 @@ class TestLoopProduct:
         tight = SeriesControl(rel_tol=1e-30)
         prod = thermo._LoopProduct(1.0, trap, tight)
         log_scale = 3.0 * math.log(trap.kappa_abs)
-        # at this gap the tail runs over the whole grid
-        assert (2000.0 + abs(log_scale)) / (1e-6 + prod.a[0]) \
-            > prod._tail_l[-1]
-        f = np.exp(log_scale - 1e-6 * prod._tail_l + prod._tail_log_p)
-        g16, g8 = np.sum(prod._tail_w[0] * f, axis=1)
-        # the stiff pair's terms have left the normal floats by L - 1
+        n = prod.big_l + 2
+        # at this gap the tail runs over the whole table
+        assert (2000.0 + abs(log_scale)) / (1e-6 + prod.a[0]) > prod.l[-1]
+        # nu's error rows: the two rules' weight difference at the nodes
+        # and the signed third difference, times 1 - 1/P_l (and the nodes'
+        # Jacobian l)
+        _, diff, d3 = prod._nu
+        fac = -np.expm1(-prod.log_p)
+        w16, w8 = np.tile(thermo._PANEL_WEIGHTS, prod._panels)
+        assert np.array_equal(diff, (w8 - w16) * (fac[n:] * prod.l[n:]))
+        assert np.array_equal(d3, np.array([-1.0, 3.0, -3.0, 1.0])
+                              * fac[n - 4:n])
+        e = np.exp(log_scale - 1e-6 * prod.l + prod.log_p)
+        g8_g16 = float(np.dot(diff, e[n:]))
+        rem = 11.0 / 720.0 * abs(float(np.dot(d3, e[n - 4:n])))
+        # both against their plain forms: G8 - G16 over the nodes by fsum,
+        # the remainder by the third difference of the summand, with only
+        # the slow axis (the stiff pair's terms have left the normal floats
+        # by L - 1); each is a near-cancellation, known to about 1e-3
+        f = e[n:] * fac[n:] * prod.l[n:]
+        assert g8_g16 == pytest.approx(math.fsum(w8 * f) - math.fsum(w16 * f),
+                                       rel=1e-2)
         l = prod.big_l + np.arange(-1.0, 3.0)
         assert prod.a[1] * l[0] >= NORMAL_EXP
         log_p = -log1mexp(prod.a[0] * l)
         f_end = np.exp(log_scale - 1e-6 * l + log_p) * -np.expm1(-log_p)
-        rem = 11.0 / 720.0 * abs(float(np.diff(f_end, 3)[0]))
-        assert 0.0 < rem < abs(g8 - g16) <= DEFAULT_CONTROL.rel_tol * nu
+        assert rem == pytest.approx(
+            11.0 / 720.0 * abs(float(np.diff(f_end, 3)[0])), rel=1e-2)
+        assert 0.0 < rem < abs(g8_g16) <= DEFAULT_CONTROL.rel_tol * nu
         with pytest.warns(TruncationWarning) as record:
             assert nu_rescaled(Equilibrium(1.0, trap, tight, 1e-6)) \
                 == pytest.approx(nu, rel=1e-14, abs=0.0)
-        assert record[0].message.args == (abs(g8 - g16) + rem,)
+        assert record[0].message.args == (abs(g8_g16) + rem,)
 
 
 class TestCriticalNumbers:
@@ -556,19 +575,28 @@ class TestTailOracle:
     def test_tail_matches_adaptive_quadrature(self, trap, nu):
         # oracle: the endpoint Euler-Maclaurin sum `specfun._em_sum` (scipy's
         # adaptive quad) over the scalar P - 1 summand, for nu and Omega,
-        # at 1e-6 ... 1e6 times the solved gap
+        # at 1e-6 ... 1e6 times the solved gap; the head, the direct
+        # stretch and the closed-form P = 1 part beyond it, by fsum
         prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
         assert prod.slow
-        rates = [a for a in prod.a.tolist()
-                 if a * (prod.big_l + 1.0) < NORMAL_EXP]
+        big_l = prod.big_l
+        rates = [a for a in prod.a.tolist() if a * (big_l + 1.0) < NORMAL_EXP]
+        l, log_p = prod.l[:big_l], prod.log_p[:big_l]
         gap = solve_gap(CanonicalTarget(1.0, nu), trap)
         for factor in (1e-6, 1e-3, 1.0, 1e3, 1e6):
             w0 = gap * factor
             for per_loop in (False, True):
                 log_scale = 0.0 if per_loop \
                     else trap.dim * math.log(trap.kappa_abs)
-                whole = prod.log_partition(w0) if per_loop \
-                    else prod.sum(w0, log_scale)
+                if per_loop:
+                    whole = prod.log_partition(w0)
+                    head = math.fsum(np.exp(-l * w0) * np.expm1(log_p) / l) \
+                        - thermo._log1mexp_float(w0)
+                else:
+                    whole = prod.sum(w0, log_scale)
+                    head = math.fsum(np.exp(log_scale - l * w0 + log_p)) \
+                        + math.exp(log_scale - (big_l + 1) * w0) \
+                        / -math.expm1(-w0)
 
                 def f(l):
                     log_p = -math.fsum(thermo._log1mexp_float(a * l)
@@ -580,12 +608,11 @@ class TestTailOracle:
 
                 l_max = min(1e306, (2000.0 + abs(log_scale))
                             / (w0 + min(rates)))
-                ref = specfun._em_sum(f, prod.big_l + 1.0, l_max,
+                ref = specfun._em_sum(f, big_l + 1.0, l_max,
                                       prod.a.tolist() + [w0],
                                       DEFAULT_CONTROL.rel_tol, whole)
-                tail = prod._tail(w0, log_scale, per_loop, whole)[0]
-                assert tail == pytest.approx(ref, rel=0.0,
-                                             abs=1e-13 * abs(whole))
+                assert whole - head == pytest.approx(
+                    ref, rel=0.0, abs=1e-13 * abs(whole))
 
 
 def _count_nu_evaluations(monkeypatch):
@@ -652,6 +679,37 @@ class TestGapSolver:
         diff = (prod.sum(w0 - h, log_scale) - prod.sum(w0 + h, log_scale)) \
             / (2.0 * h)
         assert slope / w0 == pytest.approx(diff, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("trap,nu", [(Quasi1D(0.4, 1.0), 4.0),
+                                         (Quasi2D(0.05, 1.0), 2.0)],
+                             ids=_case_id)
+    def test_sums_match_every_loop(self, trap, nu):
+        # oracle: math.fsum over every loop up to where each P_l - 1 term is
+        # below e^{-50} a_min, the P_l = 1 part in closed form
+        # (sum_l e^{-l w0} = 1/(e^{w0} - 1), sum_l l e^{-l w0} =
+        # e^{w0}/(e^{w0} - 1)^2, sum_l e^{-l w0}/l = -log(1 - e^{-w0})) and
+        # the P_l - 1 part term by term: nu, w0 S and Omega at 0.1, 1 and
+        # 10 times the solved gap
+        prod = thermo._LoopProduct(1.0, trap, DEFAULT_CONTROL)
+        assert prod.slow
+        a_min = float(prod.a.min())
+        l = np.arange(1.0, math.ceil((50.0 - math.log(a_min)) / a_min))
+        p_1 = np.expm1(-np.sum(np.log(-np.expm1(-np.outer(prod.a, l))),
+                               axis=0))
+        log_scale = trap.dim * math.log(trap.kappa_abs)
+        gap = solve_gap(CanonicalTarget(1.0, nu), trap)
+        for factor in (0.1, 1.0, 10.0):
+            w0 = gap * factor
+            x = np.exp(-l * w0) * p_1
+            geo = 1.0 / math.expm1(w0)
+            s, w0_s = prod.sum_and_slope(w0, log_scale)
+            assert s == pytest.approx(
+                math.exp(log_scale) * (geo + math.fsum(x)), rel=1e-12)
+            assert w0_s == pytest.approx(
+                w0 * math.exp(log_scale)
+                * (geo * geo * math.exp(w0) + math.fsum(l * x)), rel=1e-12)
+            assert prod.log_partition(w0) == pytest.approx(
+                math.fsum(x / l) - math.log(-math.expm1(-w0)), rel=1e-12)
 
     def test_no_scipy_optimize(self):
         # one root finder in the package: `_newton_root`

@@ -12,14 +12,16 @@ same configs, each tree all of them in one fresh interpreter:
   - rdm, loops and a quasi-1D aniso-check in explicit units.
 
 The script prints every cell that differs with its relative change, and one
-summary line.  It exits 1 when a natural-units output differs in any byte
-(or a command's exit code does), else 0; explicit-units differences are
-printed but do not fail the check.
+summary line, which names the largest relative change of a differing
+numeric cell and the config it came from.  It exits 1 when a natural-units
+output differs in any byte (or a command's exit code does), else 0;
+explicit-units differences are printed but do not fail the check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -126,22 +128,26 @@ def _run(src: Path, jobs: list, out_dir: Path) -> dict:
     return results
 
 
-def _relative(old: str, new: str) -> str:
+def _relative(old: str, new: str) -> float | None:
+    """|new - old| / |old| of two numeric cells (inf from 0), or None when
+    either is not a number."""
     try:
         a, b = float(old), float(new)
     except ValueError:
-        return "text"
+        return None
     if a == b:
-        return "0"
-    return f"{abs(b - a) / abs(a):.2e}" if a != 0.0 else "from 0"
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0.0 else math.inf
 
 
-def _cell_diffs(old: str, new: str) -> list[str]:
-    """One line per differing cell of two CSV texts."""
+def _cell_diffs(old: str, new: str) -> tuple[list[str], float | None]:
+    """One line per differing cell of two CSV texts, and the largest
+    relative change among the differing numeric cells (None if there is
+    none)."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
-        return [f"  {len(old_lines)} lines -> {len(new_lines)} lines"]
-    out = []
+        return [f"  {len(old_lines)} lines -> {len(new_lines)} lines"], None
+    out, worst = [], None
     for row, (a, b) in enumerate(zip(old_lines, new_lines), start=1):
         if a == b:
             continue
@@ -150,10 +156,29 @@ def _cell_diffs(old: str, new: str) -> list[str]:
             out.append(f"  line {row}: {a!r} -> {b!r}")
             continue
         for col, (x, y) in enumerate(zip(cells_a, cells_b), start=1):
-            if x != y:
-                out.append(f"  line {row} cell {col}: {x} -> {y} "
-                           f"(relative {_relative(x, y)})")
-    return out
+            if x == y:
+                continue
+            rel = _relative(x, y)
+            if rel is None:
+                shown = "text"
+            else:
+                shown = "from 0" if rel == math.inf else f"{rel:.2e}"
+                worst = rel if worst is None else max(worst, rel)
+            out.append(f"  line {row} cell {col}: {x} -> {y} "
+                       f"(relative {shown})")
+    return out, worst
+
+
+def _summary(configs: int, moved: int, failed: int, worst) -> str:
+    """The last line: how many configs are identical and how many
+    natural-units outputs differ, and worst, the largest relative change of
+    a numeric cell with the config it came from, as (change, name) or
+    None."""
+    line = (f"cli_diff: {configs} configs, {configs - moved} identical, "
+            f"{failed} natural-units outputs differ")
+    if worst is not None:
+        line += f"; largest relative change {worst[0]:.2e} ({worst[1]})"
+    return line
 
 
 def main(argv=None) -> int:
@@ -167,6 +192,7 @@ def main(argv=None) -> int:
         before = _run(parent, jobs, work / "parent")
         after = _run(change, jobs, work / "change")
     failed = moved = 0
+    worst = None
     errors = sorted(name for name, (code, _) in after.items() if code != 0)
     for name, _, _ in jobs:
         (code_a, text_a), (code_b, text_b) = before[name], after[name]
@@ -177,12 +203,14 @@ def main(argv=None) -> int:
         failed += natural
         print(f"{name}: {'differs' if natural else 'differs (explicit units)'}"
               + (f", exit {code_a} -> {code_b}" if code_a != code_b else ""))
-        for line in _cell_diffs(text_a, text_b):
+        lines, rel = _cell_diffs(text_a, text_b)
+        for line in lines:
             print(line)
+        if rel is not None and (worst is None or rel > worst[0]):
+            worst = (rel, name)
     if errors:
         print(f"exited nonzero under CHANGE_SRC: {', '.join(errors)}")
-    print(f"cli_diff: {len(jobs)} configs, {len(jobs) - moved} identical, "
-          f"{failed} natural-units outputs differ")
+    print(_summary(len(jobs), moved, failed, worst))
     return 1 if failed else 0
 
 
